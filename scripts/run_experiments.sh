@@ -44,17 +44,17 @@ ctest --test-dir build 2>&1 | tee results/ctest.txt | tail -3
 
 # The lossy-network fault matrix (label `fault`), the tracing rings
 # (`trace`), the self-healing/chaos layer (`chaos`), the service layer
-# (`svc`), the sharded fabric (`shard`) and the multi-version scan engine
-# (`mvcc`) re-run under ThreadSanitizer: retry/timeout/backoff paths in
-# abd/, the held-message pump in net/, the SPSC trace rings, the
-# detector/supervisor/breaker threads, the lease seal/epoch handover +
+# (`svc`), the sharded fabric (`shard`), the multi-version scan engine
+# (`mvcc`) and the ABD protocol suite (`abd`) re-run under ThreadSanitizer:
+# retry/timeout/backoff paths in abd/, the held-message pump in net/, the
+# SPSC trace rings, the detector/supervisor/breaker threads, the lease seal/epoch handover +
 # versioned scan cache, the fabric's generation-vector double collect +
 # all-slot seal, and the VersionGate's packed refcount/pointer handoff are
 # exactly where data races would hide.
-echo "== fault+trace+chaos+svc+shard+netchaos+mvcc+fastread matrix under TSan =="
+echo "== fault+trace+chaos+svc+shard+netchaos+mvcc+fastread+abd matrix under TSan =="
 cmake -B build-tsan -G Ninja -DASNAP_SANITIZE=thread
 cmake --build build-tsan
-ctest --test-dir build-tsan -L "fault|trace|chaos|svc|shard|netchaos|mvcc|fastread" --output-on-failure 2>&1 \
+ctest --test-dir build-tsan -L "fault|trace|chaos|svc|shard|netchaos|mvcc|fastread|abd" --output-on-failure 2>&1 \
   | tee results/ctest_fault_tsan.txt | tail -3
 
 for b in build/bench/bench_*; do

@@ -4,62 +4,38 @@
 //
 // Each of the n nodes keeps a timestamped replica of every register.
 //   write (by the register's owner): stamp the value with a fresh local
-//     timestamp, broadcast WRITE(ts, v), wait for a majority of acks.
-//   read: broadcast READ, wait for a majority of (ts, v) replies, adopt the
-//     maximum timestamp, then perform a write-back round (broadcast
-//     WRITE(ts, v), majority acks) before returning — the write-back is what
+//     timestamp, send WRITE(ts, v) to every replica, wait for a majority of
+//     acks.
+//   read: query a majority for (ts, v), adopt the maximum timestamp, then
+//     write it back to a majority before returning — the write-back is what
 //     upgrades regularity to atomicity (no new/old inversion between two
-//     readers).
-//
-// FAST READS (on by default, AbdConfig::fast_reads; after "Oh-RAM! One and
-// a Half Round Atomic Memory" and Imbs–Raynal's fast-path registers): the
-// query round doubles as a stability probe. A read skips the write-back and
-// returns in ONE round when either (a) every counted replier in the query
-// quorum reported the adopted best_ts — the quorum itself is a majority
-// storing the value — or (b) some best_ts reply carried a CONFIRM bit,
-// proving a write or write-back round for best_ts already completed at a
-// majority. Writers (and slow-path readers after their write-back)
-// broadcast a fire-and-forget CONFIRM(ts) to make (b) the common case.
-// Any other evidence falls back to the unchanged two-round slow path, so
-// the safety argument reduces to [ABD]'s (DESIGN.md §15).
-//
-// The network may LOSE, DUPLICATE and DELAY messages (net::FaultInjector),
-// so every client round is a retransmission loop: broadcast, wait on a
-// retransmission timeout (common/RetryBackoff, exponential), rebroadcast
-// with the SAME request id until a majority of DISTINCT replicas answered
-// or the operation deadline passes. Safety under loss/duplication rests on
-// two pillars:
-//   * replica handlers are idempotent — a WRITE(ts, v) applied twice is a
-//     no-op the second time (ts <= replica ts), and a READ reply is pure;
-//   * reply counting is deduplicated by responder node id, so duplicated or
-//     retransmission-induced repeat replies can never let one replica
-//     satisfy the majority twice.
+//     readers) — unless the query quorum already proves the adopted pair
+//     stable (one-round fast reads, DESIGN.md §15).
+// The protocol itself — quorum rounds, retransmission, dedup, incarnation
+// epochs, fast reads, the circuit breaker — is abd::Client over
+// abd::QuorumRound and abd::ReplicaCore (core.hpp, client.hpp), the same
+// code the socket client and tools/abd_replicad run. AbdCluster runs them
+// in-process: one client and one replica thread per node, talking
+// through the SimNetwork (SimPort below), whose faults (loss, duplication,
+// delay, partitions, crashes) the retransmitting rounds ride through.
 // Liveness requires a majority of nodes alive and reachable within the
-// deadline: with f < n/2 crashed every operation still completes. When no
-// majority answers in time the operation returns a graceful
-// OpStatus::kTimeout (try_read/try_write) instead of blocking forever.
+// deadline; otherwise operations return OpStatus::kTimeout (try_read /
+// try_write) instead of blocking forever.
 //
 // Crashed nodes may recover(): their endpoints reopen and, before the
 // replica resumes serving, its state is resynchronized by a quorum read of
-// every register so it rejoins no staler than the latest majority-acked
-// write. Each recovery bumps the node's incarnation EPOCH; replicas stamp
-// every reply with their current epoch and clients discard replies stamped
-// by a pre-crash incarnation (defense in depth on top of per-round request
-// ids against arbitrarily delayed traffic).
+// every register. Each recovery bumps the node's incarnation EPOCH, which
+// its replica stamps on every reply; clients discard replies of older
+// incarnations (defense in depth on top of per-round request ids against
+// arbitrarily delayed traffic).
 //
 // Self-healing (optional, off by default): with a net::FailureDetector
-// attached and AbdConfig::breaker.enabled set, quorum rounds run a CIRCUIT
-// BREAKER — transmissions skip replicas the client currently suspects
-// (periodically probing them so healed nodes are re-admitted), the initial
-// retransmission timeout adapts to observed per-replica RTTs
-// (ReplicaHealth) instead of the static initial_rto, and a round fails fast
-// once fewer plausibly-live replicas than the quorum needs have persisted
-// past a grace period — returning kTimeout in milliseconds instead of
-// burning the whole op_deadline. The breaker is a liveness optimization
-// only: it NEVER shrinks the quorum below the majority, so safety is
-// independent of detector accuracy (the unsafe_shrink_quorum knob that
-// violates this exists solely for the negative chaos test that proves the
-// checkers would catch such a bug).
+// attached and AbdConfig::breaker.enabled set, rounds run the circuit
+// breaker — waves skip suspected replicas (with periodic probes), the
+// retransmission timeout adapts to measured RTTs, and a round fails fast
+// once too few plausibly-live replicas remain. Only then do in-process
+// rounds use the RTT estimate; without the breaker they start from the
+// static initial_rto.
 //
 // AbdRegisterArray adapts a cluster to reg::SwmrRegisterArray, so the
 // UNCHANGED Figure 2 snapshot algorithm (core::UnboundedSwSnapshot) can be
@@ -68,8 +44,8 @@
 // try_update on the snapshot layer) can observe them without aborting.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
+#include <any>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -80,9 +56,9 @@
 #include <utility>
 #include <vector>
 
-#include "abd/replica_health.hpp"
+#include "abd/client.hpp"
+#include "abd/core.hpp"
 #include "common/assert.hpp"
-#include "common/backoff.hpp"
 #include "common/config.hpp"
 #include "common/instrumentation.hpp"
 #include "net/failure_detector.hpp"
@@ -90,75 +66,6 @@
 #include "trace/event.hpp"
 
 namespace asnap::abd {
-
-enum MsgType : std::uint64_t {
-  kReadReq = 1,
-  kReadReply = 2,
-  kWriteReq = 3,
-  kWriteAck = 4,
-  /// Fire-and-forget stability notice: "ts for reg is majority-acked".
-  /// Sent after a completed write or write-back round; replicas fold it
-  /// into confirmed_ts. Losing every copy only costs fast-read hits.
-  kConfirm = 5,
-};
-
-/// Outcome of one client quorum round / operation.
-enum class OpStatus : std::uint8_t {
-  kOk = 0,
-  kTimeout = 1,  ///< no majority of distinct replicas answered in time
-  kClosed = 2,   ///< the client's own endpoint closed (node crashed/shutdown)
-};
-
-/// Circuit-breaker knobs, consulted only when `enabled` is set AND a
-/// failure detector is attached (AbdCluster::attach_detector).
-struct BreakerConfig {
-  bool enabled = false;
-  /// Floor for the adaptive RTT-derived initial retransmission timeout.
-  std::chrono::microseconds min_rto{200};
-  /// Initial round RTO = clamp(slowest replica RTT EWMA * rtt_multiplier,
-  /// min_rto, max_rto); falls back to AbdConfig::initial_rto until the
-  /// client has observed at least one reply.
-  double rtt_multiplier = 4.0;
-  /// Every probe_every-th transmission wave also targets suspected replicas,
-  /// so a healed node is re-admitted to rounds without waiting for the
-  /// detector's own trust transition. 0 disables probing.
-  std::uint32_t probe_every = 4;
-  /// Fail the round (kTimeout) once fewer plausibly-live replicas than the
-  /// quorum needs — non-suspected or already counted this round — have
-  /// persisted continuously for this long. Keeps degraded-mode latency at
-  /// detector scale instead of op_deadline scale.
-  std::chrono::microseconds fail_fast_grace{std::chrono::milliseconds(25)};
-  /// NEGATIVE-TEST ONLY: let the breaker shrink the quorum by the number of
-  /// suspected replicas. This breaks the majority-intersection safety
-  /// argument of [ABD]; it exists so the chaos checkers can demonstrate
-  /// they catch exactly this class of bug. Never set it elsewhere.
-  bool unsafe_shrink_quorum = false;
-};
-
-/// Client-side timing knobs. Defaults are generous so fault-free workloads
-/// never retransmit spuriously; fault-heavy tests tighten them.
-struct AbdConfig {
-  /// First retransmission timeout of a round; doubles (RetryBackoff) up to
-  /// max_rto on every retransmission.
-  std::chrono::microseconds initial_rto{std::chrono::milliseconds(20)};
-  std::chrono::microseconds max_rto{std::chrono::milliseconds(160)};
-  /// Total budget for one operation (a read spends it across both its query
-  /// and write-back rounds). On expiry the operation reports kTimeout.
-  std::chrono::microseconds op_deadline{std::chrono::seconds(10)};
-  /// One-round fast reads (Oh-RAM! / Imbs–Raynal style): skip the
-  /// write-back round when the query quorum proves the adopted value is
-  /// already stable at a majority — every counted replier reported
-  /// best_ts, or a best_ts reply carried the confirmed bit. Any other
-  /// evidence falls back to the full query + write-back slow path.
-  bool fast_reads = true;
-  /// NEGATIVE-TEST ONLY: skip the write-back round unconditionally, with no
-  /// stability evidence. This reintroduces the new/old inversion [ABD]'s
-  /// write-back exists to prevent; it exists so the exact checker can
-  /// demonstrate it catches exactly this class of bug. Never set it
-  /// elsewhere.
-  bool unsafe_always_fast_read = false;
-  BreakerConfig breaker;
-};
 
 /// A cluster of n nodes replicating `regs` single-writer registers of type
 /// V. Register r is owned (written) by node r's client; every node hosts a
@@ -170,31 +77,23 @@ class AbdCluster {
  public:
   AbdCluster(std::size_t nodes, std::size_t regs, const V& init,
              std::uint64_t seed = 1, AbdConfig config = {})
-      : net_(nodes, seed),
-        config_(config),
-        replicas_(nodes),
-        write_ts_(regs, 0),
-        epochs_(nodes),
-        op_mu_(nodes),
-        health_(nodes) {
+      : net_(nodes, seed), config_(config), write_ts_(regs, 0), epochs_(nodes) {
     ASNAP_ASSERT(nodes >= 1 && regs >= 1);
-    for (auto& epoch : epochs_) epoch.store(0, std::memory_order_relaxed);
-    for (auto& node_replicas : replicas_) {
-      node_replicas.assign(regs, Replica{0, 0, init});
-    }
-    servers_.reserve(nodes);
+    ReplicaState<V> initial;
+    for (std::size_t reg = 0; reg < regs; ++reg) initial.regs[reg] = {0, init};
     for (std::size_t id = 0; id < nodes; ++id) {
-      servers_.emplace_back(
-          [this, id](std::stop_token st) { serve(static_cast<net::NodeId>(id), st); });
+      epochs_[id].store(0, std::memory_order_relaxed);
+      nodes_.emplace_back(this, static_cast<net::NodeId>(id), initial);
     }
+    for (std::size_t id = 0; id < nodes; ++id) start_server(id);
   }
 
+  /// Closing the server mailboxes ends every replica loop; destroying
+  /// nodes_ (before net_) then joins the servers.
   ~AbdCluster() {
-    for (auto& server : servers_) server.request_stop();
-    for (std::size_t id = 0; id < net_.size(); ++id) {
+    for (std::size_t id = 0; id < nodes(); ++id) {
       net_.mailbox(static_cast<net::NodeId>(id), net::Port::kServer).close();
     }
-    servers_.clear();  // join
   }
 
   AbdCluster(const AbdCluster&) = delete;
@@ -204,68 +103,29 @@ class AbdCluster {
   std::size_t registers() const { return write_ts_.size(); }
   std::size_t majority() const { return net_.size() / 2 + 1; }
 
-  /// Owner write: two message rounds are not needed for the writer (its own
-  /// timestamp is fresh by construction) — one broadcast + majority acks.
-  /// Returns kTimeout/kClosed instead of blocking when no majority of
-  /// distinct replicas acks within the deadline.
+  /// Owner write: one round is enough (the owner's timestamp is fresh by
+  /// construction). Returns kTimeout/kClosed instead of blocking when no
+  /// majority of distinct replicas acks within the deadline.
   OpStatus try_write(std::size_t reg, net::NodeId writer, V value) {
     ASNAP_ASSERT(reg < registers());
     step_point(StepKind::kRegisterWrite);
     // Serializes against a concurrent supervisor recover() of this node,
     // which issues resync rounds through the same client mailbox.
-    std::lock_guard op_lock(op_mu_[writer]);
+    std::lock_guard op_lock(nodes_[writer].op_mu);
     const std::uint64_t ts = ++write_ts_[reg];
-    const auto deadline = std::chrono::steady_clock::now() + config_.op_deadline;
-    const OpStatus status =
-        run_write_round(writer, reg, ts, std::move(value), deadline);
-    // The "half round" of the 1.5-round write: once a majority acked ts,
-    // tell every replica so future fast reads of ts can skip write-back.
-    if (status == OpStatus::kOk) broadcast_confirm(writer, reg, ts);
-    return status;
+    return nodes_[writer].client.write(reg, ts, std::move(value));
   }
 
-  /// Read, one round when possible. The query round gathers stability
-  /// evidence alongside (ts, value): when every counted replier agreed on
-  /// the adopted best_ts (the value is provably stored at a majority — the
-  /// quorum itself) or a best_ts reply carried the confirmed bit (a prior
-  /// write/write-back round for best_ts completed), the write-back round
-  /// is skipped and the read finishes in one round. Otherwise the original
-  /// query + write-back slow path runs unchanged (the atomicity upgrade).
-  /// nullopt carries the round's failure (timeout or closed endpoint).
+  /// Atomic read, one round when the query quorum proves stability (see
+  /// Client::read). nullopt carries the round's failure (timeout or closed
+  /// endpoint).
   std::optional<V> try_read(std::size_t reg, net::NodeId reader) {
     ASNAP_ASSERT(reg < registers());
     step_point(StepKind::kRegisterRead);
-    std::lock_guard op_lock(op_mu_[reader]);
-    const auto deadline = std::chrono::steady_clock::now() + config_.op_deadline;
-    std::uint64_t best_ts = 0;
-    V best_value{};
-    QueryEvidence ev;
-    if (run_query_round(reader, reg, deadline, best_ts, best_value,
-                        majority(), /*allow_breaker=*/true,
-                        &ev) != OpStatus::kOk) {
-      return std::nullopt;
-    }
-    if (config_.fast_reads || config_.unsafe_always_fast_read) {
-      const bool stable = ev.agree == ev.accepted || ev.best_confirmed;
-      if (stable || config_.unsafe_always_fast_read) {
-        fast_reads_.fetch_add(1, std::memory_order_relaxed);
-        ASNAP_TRACE_EVENT(trace::EventKind::kAbdFastRead, reader, reg,
-                          best_ts);
-        return best_value;
-      }
-      fast_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      ASNAP_TRACE_EVENT(trace::EventKind::kAbdFastFallback, reader, reg,
-                        ev.agree < ev.accepted ? trace::kFastFallbackDisagree
-                                               : trace::kFastFallbackGap);
-    }
-    // Write-back round: make the adopted value stable at a majority before
-    // returning it (the atomicity upgrade).
-    if (run_write_round(reader, reg, best_ts, best_value, deadline) !=
-        OpStatus::kOk) {
-      return std::nullopt;
-    }
-    broadcast_confirm(reader, reg, best_ts);
-    return best_value;
+    std::lock_guard op_lock(nodes_[reader].op_mu);
+    auto got = nodes_[reader].client.read(reg);
+    if (!got.has_value()) return std::nullopt;
+    return std::move(got->value);
   }
 
   /// Asserting wrappers for callers that operate under the liveness
@@ -308,42 +168,31 @@ class AbdCluster {
   /// a node that is already live is a no-op returning true. Each effective
   /// recovery bumps the node's incarnation epoch FIRST, so replies the dead
   /// incarnation left in flight are discarded by every client.
-  bool recover(net::NodeId node) {
-    ASNAP_ASSERT(node < nodes());
-    std::lock_guard op_lock(op_mu_[node]);
-    if (!net_.crashed(node)) return true;  // double recover: already live
+  bool recover(net::NodeId id) {
+    ASNAP_ASSERT(id < nodes());
+    Node& node = nodes_[id];
+    std::lock_guard op_lock(node.op_mu);
+    if (!net_.crashed(id)) return true;  // double recover: already live
     const std::uint64_t epoch =
-        epochs_[node].fetch_add(1, std::memory_order_acq_rel) + 1;
-    ASNAP_TRACE_EVENT(trace::EventKind::kRecoverBegin, node, epoch);
-    servers_[node] = std::jthread();  // join the exited incarnation
-    net_.recover(node);
-    // Resync before serving: the node's replica may predate majority-acked
-    // writes it missed while down. One quorum read per register, issued
-    // from the recovering node's client endpoint (its server is not up yet,
-    // so replies can only come from the other replicas). The breaker is
-    // bypassed: this node's detector rows are stale until its monitor
-    // thread wakes and resets them.
-    for (std::size_t reg = 0; reg < registers(); ++reg) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + config_.op_deadline;
-      Replica& rep = replicas_[node][reg];
-      std::uint64_t best_ts = rep.ts;  // self: retained quorum member
-      V best_value = rep.value;
-      if (run_query_round(node, reg, deadline, best_ts, best_value,
-                          majority() - 1, /*allow_breaker=*/false) !=
-          OpStatus::kOk) {
-        net_.crash(node);  // could not resync: stay down
-        ASNAP_TRACE_EVENT(trace::EventKind::kRecoverEnd, node, 0);
-        return false;
-      }
-      if (best_ts > rep.ts) {
-        rep.ts = best_ts;
-        rep.value = std::move(best_value);
+        epochs_[id].fetch_add(1, std::memory_order_acq_rel) + 1;
+    ASNAP_TRACE_EVENT(trace::EventKind::kRecoverBegin, id, epoch);
+    node.server = std::jthread();  // join the exited incarnation
+    net_.recover(id);
+    {
+      std::lock_guard replica_lock(node.replica_mu);
+      node.replica.set_epoch(epoch);
+      for (std::size_t reg = 0; reg < registers(); ++reg) {
+        const auto got = node.client.query(reg, &node.replica);
+        if (!got.has_value()) {
+          net_.crash(id);  // could not resync: stay down
+          ASNAP_TRACE_EVENT(trace::EventKind::kRecoverEnd, id, 0);
+          return false;
+        }
+        node.replica.install(reg, got->ts, got->value);
       }
     }
-    servers_[node] = std::jthread(
-        [this, node](std::stop_token st) { serve(node, st); });
-    ASNAP_TRACE_EVENT(trace::EventKind::kRecoverEnd, node, 1);
+    start_server(id);
+    ASNAP_TRACE_EVENT(trace::EventKind::kRecoverEnd, id, 1);
     return true;
   }
 
@@ -378,403 +227,131 @@ class AbdCluster {
   std::uint64_t messages_sent() const { return net_.messages_sent(); }
   std::size_t alive_count() const { return net_.alive_count(); }
 
-  /// Aggregate retry metrics across all clients (per-thread breakdowns come
-  /// from asnap::RetryMeter).
+  /// Counters aggregated over all clients (see abd::Counters).
   /// Protocol rounds started (query / write / write-back), NOT counting
   /// retransmission waves within a round — see retransmits_sent() for those.
-  std::uint64_t protocol_rounds() const {
-    return rounds_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t protocol_rounds() const { return load(counters_.rounds); }
   /// Reads that returned after the query round alone (write-back skipped).
-  std::uint64_t fast_reads() const {
-    return fast_reads_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t fast_reads() const { return load(counters_.fast_reads); }
   /// Reads that wanted the fast path but fell back to write-back.
   std::uint64_t fast_fallbacks() const {
-    return fast_fallbacks_.load(std::memory_order_relaxed);
+    return load(counters_.fast_fallbacks);
   }
   std::uint64_t retransmits_sent() const {
-    return retransmits_.load(std::memory_order_relaxed);
+    return load(counters_.retransmits);
   }
   std::uint64_t dup_replies_ignored() const {
-    return dup_replies_.load(std::memory_order_relaxed);
+    return load(counters_.dup_replies);
   }
   std::uint64_t round_timeouts() const {
-    return round_timeouts_.load(std::memory_order_relaxed);
+    return load(counters_.round_timeouts);
   }
-  std::uint64_t breaker_skips() const {
-    return breaker_skips_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t fail_fasts() const {
-    return fail_fasts_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t breaker_skips() const { return load(counters_.breaker_skips); }
+  std::uint64_t fail_fasts() const { return load(counters_.fail_fasts); }
   std::uint64_t stale_epoch_replies() const {
-    return stale_epoch_replies_.load(std::memory_order_relaxed);
+    return load(counters_.stale_epoch_replies);
   }
 
-  /// Test hook: a replica's current timestamp for one register. Only valid
-  /// at quiescent points (no in-flight operation touching the node).
+  /// Test hook: a replica's current timestamp for one register.
   std::uint64_t replica_ts(net::NodeId node, std::size_t reg) const {
     ASNAP_ASSERT(node < nodes() && reg < registers());
-    return replicas_[node][reg].ts;
+    std::lock_guard lock(nodes_[node].replica_mu);
+    return nodes_[node].replica.ts(reg);
   }
 
   /// Test hook: the highest timestamp a replica knows to be majority-acked
-  /// (0 = none confirmed). Same quiescence caveat as replica_ts().
+  /// (0 = none confirmed).
   std::uint64_t replica_confirmed_ts(net::NodeId node, std::size_t reg) const {
     ASNAP_ASSERT(node < nodes() && reg < registers());
-    return replicas_[node][reg].confirmed_ts;
+    std::lock_guard lock(nodes_[node].replica_mu);
+    return nodes_[node].replica.confirmed_ts(reg);
   }
 
  private:
-  struct Replica {
-    std::uint64_t ts = 0;
-    /// Highest ts known majority-acked (kConfirm). Invariant: a confirm for
-    /// T is only broadcast after T reached a majority, so confirmed_ts >= ts
-    /// proves the stored (ts, value) needs no write-back. May exceed ts when
-    /// this replica missed the confirmed write itself — still safe evidence
-    /// for a reader whose quorum maximum is ts (see DESIGN.md §15).
-    std::uint64_t confirmed_ts = 0;
-    V value{};
-  };
-  struct ReadReq {
-    std::size_t reg;
-  };
-  struct ReadReply {
-    std::size_t reg;
-    std::uint64_t ts;
-    std::uint64_t epoch;  ///< responder's incarnation at reply time
-    bool confirmed;       ///< ts > 0 and confirmed_ts >= ts at the replica
-    V value;
-  };
-  struct WriteReq {
-    std::size_t reg;
-    std::uint64_t ts;
-    V value;
-  };
-  struct WriteAck {
-    std::uint64_t epoch;  ///< responder's incarnation at ack time
-  };
-  struct ConfirmReq {
-    std::size_t reg;
-    std::uint64_t ts;
-  };
+  using Frame = net::wire::BasicFrame<V>;
 
-  /// Stability evidence gathered by a query round, for the fast-read
-  /// decision. `accepted` counts replies that passed the epoch filter;
-  /// `agree` counts those whose ts equals the round's final best_ts;
-  /// `best_confirmed` is set when any agreeing reply carried the confirmed
-  /// bit.
-  struct QueryEvidence {
-    std::size_t accepted = 0;
-    std::size_t agree = 0;
-    bool best_confirmed = false;
-  };
+  /// The in-process transport: node `id`'s client port on the SimNetwork.
+  /// Replies older than the incarnation the cluster knows are stale. The
+  /// RTT-derived RTO is used only while the breaker is armed, floored at
+  /// 200 us: a mailbox handoff is far below a socket round trip, and the
+  /// socket floor slowed lossy in-process runs (DESIGN.md §11).
+  struct SimPort {
+    static constexpr bool kAlwaysAdaptiveRto = false;
+    static constexpr std::chrono::microseconds kMinRto{200};
+    AbdCluster* cluster;
+    net::NodeId id;
 
-  std::uint64_t next_rid() {
-    return rid_gen_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// One retransmitting quorum round: transmit the request to each target
-  /// (`transmit_to(node)`), then collect replies matching (rid, want_type)
-  /// until `needed` DISTINCT responders are reached (the majority, except
-  /// for recovery resync where the recovering replica itself is one quorum
-  /// member). Waits with exponential backoff and retransmits (same rid —
-  /// replica handlers are idempotent) on every expiry until `deadline`.
-  /// on_reply runs once per distinct responder and returns whether the
-  /// reply counts (false = stamped by a stale incarnation; the responder
-  /// stays uncounted so its current incarnation can still answer).
-  ///
-  /// With the circuit breaker armed (config + detector + allow_breaker),
-  /// transmission waves skip suspected and already-counted replicas (with
-  /// periodic probe waves), the initial RTO adapts to observed replica
-  /// RTTs, and the round fails fast when too few plausibly-live replicas
-  /// remain. Without it the wave degenerates to the plain broadcast loop.
-  template <typename Transmit, typename OnReply>
-  OpStatus run_round(net::NodeId client, std::uint64_t rid,
-                     std::uint64_t want_type,
-                     std::chrono::steady_clock::time_point deadline,
-                     std::size_t needed, Transmit&& transmit_to,
-                     OnReply&& on_reply, bool allow_breaker = true) {
-    if (needed == 0) return OpStatus::kOk;
-    const std::size_t n = net_.size();
-    auto& inbox = net_.mailbox(client, net::Port::kClient);
-    const net::FailureDetector* fd =
-        allow_breaker ? detector_.load(std::memory_order_acquire) : nullptr;
-    const bool breaker = config_.breaker.enabled && fd != nullptr;
-
-    auto initial_rto = config_.initial_rto;
-    if (breaker) {
-      const auto est = health_.max_rtt(client);
-      if (est.count() > 0) {
-        const auto adaptive =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                est * config_.breaker.rtt_multiplier);
-        initial_rto =
-            std::clamp(adaptive, config_.breaker.min_rto, config_.max_rto);
-      }
+    std::size_t size() const { return cluster->nodes(); }
+    std::uint64_t self() const { return id; }
+    net::Mailbox& inbox() {
+      return cluster->net_.mailbox(id, net::Port::kClient);
     }
-    RetryBackoff backoff(initial_rto, config_.max_rto);
-
-    std::vector<char> seen(n, 0);
-    std::vector<std::chrono::steady_clock::time_point> last_tx(n);
-    std::size_t accepted = 0;
-    std::uint32_t waves = 0;
-    std::optional<std::chrono::steady_clock::time_point> starved_since;
-
-    auto transmit_wave = [&] {
-      const std::uint32_t wave = waves++;
-      const bool probe = breaker && config_.breaker.probe_every != 0 &&
-                         (wave + 1) % config_.breaker.probe_every == 0;
-      const auto now = std::chrono::steady_clock::now();
-      for (net::NodeId to = 0; to < n; ++to) {
-        if (breaker && seen[to]) continue;  // already counted this round
-        if (breaker && !probe && fd->suspected(client, to)) {
-          breaker_skips_.fetch_add(1, std::memory_order_relaxed);
-          ASNAP_TRACE_EVENT(trace::EventKind::kBreakerSkip, client, to);
-          continue;
-        }
-        last_tx[to] = now;
-        transmit_to(to);
-      }
-    };
-
-    // How many distinct replies this round still insists on. Always
-    // `needed` — except under the deliberately broken negative-test knob,
-    // which deducts currently-suspected uncounted replicas.
-    auto effective_needed = [&]() -> std::size_t {
-      if (!breaker || !config_.breaker.unsafe_shrink_quorum) return needed;
-      std::size_t suspected_uncounted = 0;
-      for (net::NodeId j = 0; j < n; ++j) {
-        if (!seen[j] && fd->suspected(client, j)) ++suspected_uncounted;
-      }
-      return needed > suspected_uncounted + 1 ? needed - suspected_uncounted
-                                              : 1;
-    };
-
-    note_round();
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    ASNAP_TRACE_EVENT(trace::EventKind::kAbdRoundBegin, client, rid, needed);
-    transmit_wave();
-    auto retransmit_at = std::chrono::steady_clock::now() + backoff.current();
-    while (accepted < effective_needed()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        note_round_timeout();
-        round_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        ASNAP_TRACE_EVENT(trace::EventKind::kAbdRoundTimeout, client, rid);
-        return OpStatus::kTimeout;
-      }
-      if (breaker && !config_.breaker.unsafe_shrink_quorum) {
-        std::size_t plausible = 0;
-        for (net::NodeId j = 0; j < n; ++j) {
-          if (seen[j] || !fd->suspected(client, j)) ++plausible;
-        }
-        if (plausible < needed) {
-          if (!starved_since) {
-            starved_since = now;
-          } else if (now - *starved_since >= config_.breaker.fail_fast_grace) {
-            fail_fasts_.fetch_add(1, std::memory_order_relaxed);
-            note_round_timeout();
-            round_timeouts_.fetch_add(1, std::memory_order_relaxed);
-            ASNAP_TRACE_EVENT(trace::EventKind::kBreakerFailFast, client, rid,
-                              plausible);
-            return OpStatus::kTimeout;
-          }
-        } else {
-          starved_since.reset();
-        }
-      }
-      auto msg = inbox.receive_until(std::min(deadline, retransmit_at));
-      if (!msg.has_value()) {
-        if (inbox.closed()) {
-          ASNAP_TRACE_EVENT(trace::EventKind::kAbdRoundTimeout, client, rid);
-          return OpStatus::kClosed;
-        }
-        if (std::chrono::steady_clock::now() >= retransmit_at) {
-          note_retransmit();
-          retransmits_.fetch_add(1, std::memory_order_relaxed);
-          ASNAP_TRACE_EVENT(trace::EventKind::kAbdRetransmit, client, rid);
-          transmit_wave();
-          backoff.grow();
-          retransmit_at = std::chrono::steady_clock::now() + backoff.current();
-        }
-        continue;
-      }
-      if (msg->rid != rid || msg->type != want_type) continue;  // stale round
-      if (seen[msg->from]) {  // duplicated/retransmitted reply: count once
-        note_dup_reply();
-        dup_replies_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (!on_reply(*msg)) {  // stamped by a pre-crash incarnation
-        stale_epoch_replies_.fetch_add(1, std::memory_order_relaxed);
-        ASNAP_TRACE_EVENT(trace::EventKind::kStaleEpochReply, client,
-                          msg->from, 0);
-        continue;
-      }
-      seen[msg->from] = 1;
-      if (last_tx[msg->from] != std::chrono::steady_clock::time_point{}) {
-        health_.record(client, msg->from,
-                       std::chrono::steady_clock::now() - last_tx[msg->from]);
-      }
-      ++accepted;
+    void send(std::size_t to, const Frame& frame, Clock::time_point) {
+      cluster->net_.send(id, static_cast<net::NodeId>(to), net::Port::kServer,
+                         frame.type, frame.rid, std::any(frame));
     }
-    ASNAP_TRACE_EVENT(trace::EventKind::kAbdQuorumReached, client, rid,
-                      accepted);
-    return OpStatus::kOk;
-  }
-
-  /// Query round of a read (or a recovery resync): fold the maximum
-  /// (ts, value) over `needed` distinct replies into best_ts/best_value
-  /// (callers pre-seed them; resync seeds with the local replica). When
-  /// `ev` is non-null, stability evidence for the fast-read decision is
-  /// accumulated alongside (recovery passes nullptr: a resync quorum is
-  /// majority()-1 remote replies plus the local replica, which yields no
-  /// majority-stability proof — resync must never skip-stabilize).
-  OpStatus run_query_round(net::NodeId client, std::size_t reg,
-                           std::chrono::steady_clock::time_point deadline,
-                           std::uint64_t& best_ts, V& best_value,
-                           std::size_t needed, bool allow_breaker = true,
-                           QueryEvidence* ev = nullptr) {
-    const std::uint64_t rid = next_rid();
-    return run_round(
-        client, rid, kReadReply, deadline, needed,
-        [&](net::NodeId to) {
-          net_.send(client, to, net::Port::kServer, kReadReq, rid,
-                    std::any(ReadReq{reg}));
-        },
-        [&](const net::Message& msg) {
-          const auto& reply = std::any_cast<const ReadReply&>(msg.payload);
-          if (reply.epoch !=
-              epochs_[msg.from].load(std::memory_order_acquire)) {
-            return false;
-          }
-          if (reply.ts > best_ts) {
-            best_ts = reply.ts;
-            best_value = reply.value;
-            if (ev != nullptr) {
-              ev->agree = 1;
-              ev->best_confirmed = reply.confirmed;
-            }
-          } else if (reply.ts == best_ts) {
-            // Equal ts: re-adopt so a fresh read (seeded ts=0,
-            // value-initialized) picks up the replicas' init value; with a
-            // single writer values at equal ts coincide, so this is
-            // harmless otherwise.
-            best_value = reply.value;
-            if (ev != nullptr) {
-              ++ev->agree;
-              ev->best_confirmed = ev->best_confirmed || reply.confirmed;
-            }
-          }
-          if (ev != nullptr) ++ev->accepted;
-          return true;
-        },
-        allow_breaker);
-  }
-
-  /// Fire-and-forget stability notice after a majority-acked write or
-  /// write-back round. No retransmission and no acks: confirms are a pure
-  /// latency optimization for future fast reads, and a lost confirm only
-  /// costs a fallback to the slow path. ts == 0 (never written) needs no
-  /// confirm — unanimity covers it.
-  void broadcast_confirm(net::NodeId client, std::size_t reg,
-                         std::uint64_t ts) {
-    if (ts == 0) return;
-    const std::uint64_t rid = next_rid();
-    const std::size_t n = net_.size();
-    for (net::NodeId to = 0; to < n; ++to) {
-      net_.send(client, to, net::Port::kServer, kConfirm, rid,
-                std::any(ConfirmReq{reg, ts}));
+    std::uint64_t epoch_floor(std::size_t replica) const {
+      return cluster->epochs_[replica].load(std::memory_order_acquire);
     }
+    Suspects suspects() const {
+      const net::FailureDetector* fd =
+          cluster->detector_.load(std::memory_order_acquire);
+      if (!cluster->config_.breaker.enabled || fd == nullptr) return {};
+      return [fd, id = id](std::size_t to) {
+        return fd->suspected(id, static_cast<net::NodeId>(to));
+      };
+    }
+  };
+
+  struct Node {
+    Node(AbdCluster* cluster, net::NodeId id, ReplicaState<V> state)
+        : client(SimPort{cluster, id}, cluster->config_, cluster->counters_),
+          replica(std::move(state)) {}
+
+    /// One client operation (or recover()) at a time: they share the
+    /// node's client mailbox, so interleaving them would steal replies.
+    std::mutex op_mu;
+    Client<V, SimPort> client;
+    /// Guards the replica, shared by its server thread, recover() and the
+    /// test hooks (which may run while the server serves).
+    mutable std::mutex replica_mu;
+    ReplicaCore<V> replica;
+    std::jthread server;
+  };
+
+  void start_server(std::size_t id) {
+    nodes_[id].server = std::jthread([this, id](std::stop_token st) {
+      serve(static_cast<net::NodeId>(id), st);
+    });
   }
 
-  OpStatus run_write_round(net::NodeId client, std::size_t reg,
-                           std::uint64_t ts, V value,
-                           std::chrono::steady_clock::time_point deadline) {
-    const std::uint64_t rid = next_rid();
-    return run_round(
-        client, rid, kWriteAck, deadline, majority(),
-        [&](net::NodeId to) {
-          net_.send(client, to, net::Port::kServer, kWriteReq, rid,
-                    std::any(WriteReq{reg, ts, value}));
-        },
-        [&](const net::Message& msg) {
-          const auto& ack = std::any_cast<const WriteAck&>(msg.payload);
-          return ack.epoch ==
-                 epochs_[msg.from].load(std::memory_order_acquire);
-        });
-  }
-
-  /// Replica event loop for one node. Only this thread touches
-  /// replicas_[id], so replica state needs no locking. Handlers are
-  /// idempotent: re-delivered or duplicated requests re-send the reply but
-  /// never re-apply an effect (WRITE applies only on a strictly larger ts).
+  /// Replica event loop for one node: each request goes to its ReplicaCore,
+  /// each reply back to the requesting client's port.
   void serve(net::NodeId id, std::stop_token st) {
+    Node& node = nodes_[id];
     auto& inbox = net_.mailbox(id, net::Port::kServer);
     while (!st.stop_requested()) {
       auto msg = inbox.receive();
       if (!msg.has_value()) return;  // closed: shutdown or crash
-      switch (msg->type) {
-        case kReadReq: {
-          const auto& req = std::any_cast<const ReadReq&>(msg->payload);
-          const Replica& rep = replicas_[id][req.reg];
-          net_.send(id, msg->from, net::Port::kClient, kReadReply, msg->rid,
-                    std::any(ReadReply{
-                        req.reg, rep.ts,
-                        epochs_[id].load(std::memory_order_relaxed),
-                        rep.ts > 0 && rep.confirmed_ts >= rep.ts,
-                        rep.value}));
-          break;
-        }
-        case kWriteReq: {
-          const auto& req = std::any_cast<const WriteReq&>(msg->payload);
-          Replica& rep = replicas_[id][req.reg];
-          if (req.ts > rep.ts) {
-            rep.ts = req.ts;
-            rep.value = req.value;
-          }
-          net_.send(id, msg->from, net::Port::kClient, kWriteAck, msg->rid,
-                    std::any(WriteAck{
-                        epochs_[id].load(std::memory_order_relaxed)}));
-          break;
-        }
-        case kConfirm: {
-          const auto& req = std::any_cast<const ConfirmReq&>(msg->payload);
-          Replica& rep = replicas_[id][req.reg];
-          if (req.ts > rep.confirmed_ts) rep.confirmed_ts = req.ts;
-          break;  // fire-and-forget: no reply
-        }
-        default:
-          ASNAP_ASSERT_MSG(false, "unknown message type at replica");
+      std::optional<Frame> reply;
+      {
+        std::lock_guard lock(node.replica_mu);
+        reply = node.replica.handle(std::any_cast<const Frame&>(msg->payload));
       }
+      if (!reply.has_value()) continue;
+      net_.send(id, msg->from, net::Port::kClient, reply->type, reply->rid,
+                std::any(std::move(*reply)));
     }
   }
 
   net::Network net_;
   AbdConfig config_;
-  std::vector<std::vector<Replica>> replicas_;  ///< [node][register]
+  Counters counters_;
   std::vector<std::uint64_t> write_ts_;  ///< per register; owner-only access
   /// Incarnation epoch per node, bumped by each effective recover().
   std::vector<std::atomic<std::uint64_t>> epochs_;
-  /// Per-node operation mutex: a node's client ops and a supervisor
-  /// recover() of the same node share one client mailbox, so they must not
-  /// interleave (reply stealing). deque because mutexes don't move.
-  mutable std::deque<std::mutex> op_mu_;
-  ReplicaHealth health_;  ///< per-(client, replica) RTT EWMAs
   std::atomic<const net::FailureDetector*> detector_{nullptr};
-  std::atomic<std::uint64_t> rid_gen_{1};
-  std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> fast_reads_{0};
-  std::atomic<std::uint64_t> fast_fallbacks_{0};
-  std::atomic<std::uint64_t> retransmits_{0};
-  std::atomic<std::uint64_t> dup_replies_{0};
-  std::atomic<std::uint64_t> round_timeouts_{0};
-  std::atomic<std::uint64_t> breaker_skips_{0};
-  std::atomic<std::uint64_t> fail_fasts_{0};
-  std::atomic<std::uint64_t> stale_epoch_replies_{0};
-  std::vector<std::jthread> servers_;
+  std::deque<Node> nodes_;  ///< deque: nodes hold mutexes and never move
 };
 
 /// Thrown by AbdRegisterArray when a register operation cannot reach a

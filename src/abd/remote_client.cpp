@@ -1,292 +1,42 @@
 #include "abd/remote_client.hpp"
 
-#include <algorithm>
-#include <any>
-#include <chrono>
 #include <utility>
 
-#include "common/backoff.hpp"
-#include "trace/event.hpp"
-
 namespace asnap::abd {
-
-namespace {
-using Clock = std::chrono::steady_clock;
-
-/// EWMA weight for RTT smoothing, matching net::ReplicaHealth: new estimate
-/// = 3/4 old + 1/4 sample.
-constexpr int kRttAlphaShift = 2;
-/// Floor for the adaptive retransmission timeout: below this, retransmits
-/// race the kernel's own delivery on loopback.
-constexpr std::chrono::microseconds kMinAdaptiveRto{500};
-}  // namespace
 
 RemoteRegisterClient::RemoteRegisterClient(std::vector<net::Endpoint> replicas,
                                            std::uint64_t client_id,
                                            AbdConfig config)
-    : client_id_(client_id),
-      config_(config),
+    : config_(config),
       bus_(std::move(replicas), /*seed=*/client_id * 0x9E3779B97F4A7C15ull + 1),
-      max_epoch_(bus_.size(), 0) {
-  rtt_us_.reserve(bus_.size());
-  for (std::size_t i = 0; i < bus_.size(); ++i) {
-    rtt_us_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
-  }
-}
-
-void RemoteRegisterClient::record_rtt(std::size_t replica,
-                                      std::chrono::microseconds sample) {
-  const auto s = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(1, sample.count()));
-  auto& cell = *rtt_us_[replica];
-  const std::uint64_t old = cell.load(std::memory_order_relaxed);
-  const std::uint64_t next =
-      old == 0 ? s : old - (old >> kRttAlphaShift) + (s >> kRttAlphaShift);
-  cell.store(next, std::memory_order_relaxed);
-}
-
-std::chrono::microseconds RemoteRegisterClient::rtt_estimate(
-    std::size_t replica) const {
-  if (replica >= rtt_us_.size()) return std::chrono::microseconds{0};
-  return std::chrono::microseconds(
-      rtt_us_[replica]->load(std::memory_order_relaxed));
-}
-
-std::chrono::microseconds RemoteRegisterClient::adaptive_rto() const {
-  std::uint64_t worst = 0;
-  for (const auto& cell : rtt_us_) {
-    worst = std::max(worst, cell->load(std::memory_order_relaxed));
-  }
-  if (worst == 0) return config_.initial_rto;
-  // A retransmission before ~4x the smoothed RTT mostly duplicates traffic
-  // that is still in flight; past it, the original was probably lost.
-  auto rto = std::chrono::microseconds(worst * 4);
-  rto = std::max(rto, kMinAdaptiveRto);
-  rto = std::min(rto, std::chrono::duration_cast<std::chrono::microseconds>(
-                          config_.max_rto));
-  return rto;
-}
-
-OpStatus RemoteRegisterClient::run_round(net::wire::Frame request,
-                                         std::uint8_t expect_type,
-                                         std::size_t needed,
-                                         ReadResult* collect,
-                                         QueryEvidence* ev) {
-  const std::size_t n = bus_.size();
-  if (needed == 0) return OpStatus::kOk;
-  request.version = net::wire::kWireVersion;
-  request.from = client_id_;
-
-  const auto pid = static_cast<std::uint32_t>(client_id_);
-  {
-    std::lock_guard<std::mutex> s(stats_mu_);
-    ++stats_.protocol_rounds;
-  }
-  ASNAP_TRACE_EVENT(trace::EventKind::kAbdRoundBegin, pid, request.rid,
-                    needed);
-
-  std::vector<char> seen(n, 0);
-  // Karn's rule: once a replica's request has been retransmitted, a reply
-  // is ambiguous — it may answer ANY copy — so it is never used as an RTT
-  // sample. Only replicas that answer their first (and only) transmit feed
-  // the EWMA; otherwise lossy links would be measured against the latest
-  // wave, yielding spuriously small samples that shrink the RTO and cause
-  // ever more premature retransmits.
-  std::vector<char> retransmitted(n, 0);
-  std::vector<Clock::time_point> last_tx(n);
-  std::size_t count = 0;
-  bool adopted = false;
-  const auto initial_rto = adaptive_rto();
-  RetryBackoff backoff(initial_rto, std::max(initial_rto, config_.max_rto));
-  const auto deadline = Clock::now() + config_.op_deadline;
-
-  const auto transmit_wave = [&](bool is_retransmit) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!seen[i]) {
-        bus_.send(i, request, deadline);
-        last_tx[i] = Clock::now();
-        if (is_retransmit) retransmitted[i] = 1;
-      }
-    }
-  };
-  transmit_wave(/*is_retransmit=*/false);
-  auto next_retransmit = Clock::now() + backoff.current();
-
-  while (count < needed) {
-    const auto now = Clock::now();
-    if (now >= deadline) {
-      ASNAP_TRACE_EVENT(trace::EventKind::kAbdRoundTimeout, pid, request.rid);
-      std::lock_guard<std::mutex> s(stats_mu_);
-      ++stats_.round_timeouts;
-      return OpStatus::kTimeout;
-    }
-    if (now >= next_retransmit) {
-      backoff.grow();
-      transmit_wave(/*is_retransmit=*/true);
-      next_retransmit = now + backoff.current();
-      ASNAP_TRACE_EVENT(trace::EventKind::kAbdRetransmit, pid, request.rid);
-      std::lock_guard<std::mutex> s(stats_mu_);
-      ++stats_.retransmit_waves;
-      continue;
-    }
-    auto msg = bus_.inbox().receive_until(std::min(deadline, next_retransmit));
-    if (!msg.has_value()) {
-      if (bus_.inbox().closed()) return OpStatus::kClosed;
-      continue;  // timeout slice: loop re-checks deadline / retransmit
-    }
-    if (msg->rid != request.rid) continue;  // reply to an older round
-    const auto* frame = std::any_cast<net::wire::Frame>(&msg->payload);
-    if (frame == nullptr) continue;
-    const std::size_t from = static_cast<std::size_t>(msg->from);
-    if (from >= n) continue;
-    // Incarnation filter: a reply stamped by an epoch older than the
-    // highest this client has seen from that replica was produced by a
-    // pre-crash incarnation — its state may predate acked writes.
-    if (frame->epoch < max_epoch_[from]) {
-      std::lock_guard<std::mutex> s(stats_mu_);
-      ++stats_.stale_epoch_replies;
-      continue;
-    }
-    max_epoch_[from] = std::max(max_epoch_[from], frame->epoch);
-    if (frame->type != expect_type) continue;
-    if (seen[from]) {
-      std::lock_guard<std::mutex> s(stats_mu_);
-      ++stats_.dup_replies;
-      continue;
-    }
-    seen[from] = 1;
-    ++count;
-    if (!retransmitted[from]) {
-      record_rtt(from, std::chrono::duration_cast<std::chrono::microseconds>(
-                           Clock::now() - last_tx[from]));
-    }
-    if (collect != nullptr) {
-      const bool confirmed =
-          (frame->flags & net::wire::kFlagTsConfirmed) != 0;
-      if (!adopted || frame->ts > collect->ts) {
-        collect->ts = frame->ts;
-        collect->value = frame->value;
-        adopted = true;
-        if (ev != nullptr) {
-          ev->agree = 1;
-          ev->best_confirmed = confirmed;
-        }
-      } else if (frame->ts == collect->ts && ev != nullptr) {
-        ++ev->agree;
-        ev->best_confirmed = ev->best_confirmed || confirmed;
-      }
-      if (ev != nullptr) ++ev->accepted;
-    }
-  }
-  ASNAP_TRACE_EVENT(trace::EventKind::kAbdQuorumReached, pid, request.rid,
-                    count);
-  return OpStatus::kOk;
-}
+      client_(TcpPort{&bus_, client_id}, config_, counters_) {}
 
 OpStatus RemoteRegisterClient::try_write(std::uint64_t reg, std::uint64_t ts,
                                          const net::wire::Bytes& value) {
   std::lock_guard<std::mutex> lock(op_mu_);
-  net::wire::Frame req;
-  req.type = net::wire::kWriteReq;
-  req.rid = next_rid_++;
-  req.reg = reg;
-  req.ts = ts;
-  req.value = value;
-  const OpStatus status =
-      run_round(std::move(req), net::wire::kWriteAck, majority(), nullptr);
-  // The "half round": tell every replica ts is majority-acked so future
-  // fast reads of it can skip their write-back.
-  if (status == OpStatus::kOk) broadcast_confirm(reg, ts);
-  return status;
-}
-
-void RemoteRegisterClient::broadcast_confirm(std::uint64_t reg,
-                                             std::uint64_t ts) {
-  if (ts == 0) return;
-  net::wire::Frame confirm;
-  confirm.version = net::wire::kWireVersion;
-  confirm.type = net::wire::kConfirm;
-  confirm.from = client_id_;
-  confirm.rid = next_rid_++;
-  confirm.reg = reg;
-  confirm.ts = ts;
-  // Best effort, no retransmission, no ack wait: bound the send so a wedged
-  // connection cannot stall the client past one RTO-scale budget.
-  const auto deadline = Clock::now() + config_.max_rto;
-  for (std::size_t i = 0; i < bus_.size(); ++i) {
-    bus_.send(i, confirm, deadline);
-  }
+  return client_.write(reg, ts, value);
 }
 
 std::optional<RemoteRegisterClient::ReadResult>
 RemoteRegisterClient::try_read(std::uint64_t reg) {
   std::lock_guard<std::mutex> lock(op_mu_);
-  ReadResult best;
-  QueryEvidence ev;
-  {
-    net::wire::Frame req;
-    req.type = net::wire::kReadReq;
-    req.rid = next_rid_++;
-    req.reg = reg;
-    if (run_round(std::move(req), net::wire::kReadReply, majority(), &best,
-                  &ev) != OpStatus::kOk) {
-      return std::nullopt;
-    }
-  }
-  if (config_.fast_reads || config_.unsafe_always_fast_read) {
-    // One-round fast path: the adopted pair is provably stable at a
-    // majority — the whole quorum reported it, or some quorum member knew
-    // it majority-acked (kFlagTsConfirmed) — so the write-back is
-    // redundant.
-    const bool stable = ev.agree == ev.accepted || ev.best_confirmed;
-    if (stable || config_.unsafe_always_fast_read) {
-      ASNAP_TRACE_EVENT(trace::EventKind::kAbdFastRead,
-                        static_cast<std::uint32_t>(client_id_), reg, best.ts);
-      std::lock_guard<std::mutex> s(stats_mu_);
-      ++stats_.fast_reads;
-      return best;
-    }
-    ASNAP_TRACE_EVENT(trace::EventKind::kAbdFastFallback,
-                      static_cast<std::uint32_t>(client_id_), reg,
-                      ev.agree < ev.accepted ? trace::kFastFallbackDisagree
-                                             : trace::kFastFallbackGap);
-    std::lock_guard<std::mutex> s(stats_mu_);
-    ++stats_.fast_fallbacks;
-  }
-  // Write-back round: re-install the adopted pair on a majority before
-  // returning, so no later read can observe an older value (atomicity).
-  net::wire::Frame wb;
-  wb.type = net::wire::kWriteReq;
-  wb.rid = next_rid_++;
-  wb.reg = reg;
-  wb.ts = best.ts;
-  wb.value = best.value;
-  if (run_round(std::move(wb), net::wire::kWriteAck, majority(), nullptr) !=
-      OpStatus::kOk) {
-    return std::nullopt;
-  }
-  broadcast_confirm(reg, best.ts);
-  return best;
+  return client_.read(reg);
 }
 
 std::optional<RemoteRegisterClient::ReadResult>
 RemoteRegisterClient::try_query(std::uint64_t reg) {
   std::lock_guard<std::mutex> lock(op_mu_);
-  ReadResult best;
-  net::wire::Frame req;
-  req.type = net::wire::kReadReq;
-  req.rid = next_rid_++;
-  req.reg = reg;
-  if (run_round(std::move(req), net::wire::kReadReply, majority(), &best) !=
-      OpStatus::kOk) {
-    return std::nullopt;
-  }
-  return best;
+  return client_.query(reg);
 }
 
 RemoteRegisterClient::Stats RemoteRegisterClient::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  return Stats{load(counters_.rounds),
+               load(counters_.fast_reads),
+               load(counters_.fast_fallbacks),
+               load(counters_.retransmits),
+               load(counters_.dup_replies),
+               load(counters_.stale_epoch_replies),
+               load(counters_.round_timeouts)};
 }
 
 }  // namespace asnap::abd

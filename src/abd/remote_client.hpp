@@ -1,63 +1,45 @@
-// ABD quorum client for a real socket cluster of tools/abd_replicad daemons.
+// ABD quorum client for a real socket cluster of tools/abd_replicad daemons:
+// abd::Client (client.hpp) over net::TcpBus, with register values carried
+// as opaque wire::Bytes. The protocol — quorum rounds, retransmission with
+// the same rid, dedup by responder, the incarnation-epoch filter, one-round
+// fast reads with the confirm bit, the RTO rule — is core.hpp's, the code
+// the in-process AbdCluster runs too (DESIGN.md §11, §15).
 //
-// Mirrors the client machinery of abd_register.hpp over net::TcpBus instead
-// of net::SimNetwork — the same algorithm, the same failure discipline:
-//   write(reg, ts, v): broadcast WRITE(ts, v), wait for a majority of
-//     distinct acks. The CALLER owns the timestamp and must keep it
-//     monotone per register (the single-writer regime of the paper); this
-//     also makes a timed-out write idempotently retryable with the same
-//     (ts, v) — replicas ignore stale timestamps and re-ack.
-//   read(reg): query round (majority of READ replies, adopt the max
-//     timestamp), then a write-back round of the adopted pair — the
-//     write-back upgrades regularity to atomicity exactly as in [ABD].
-//     With AbdConfig::fast_reads (default), the write-back is SKIPPED when
-//     the query quorum proves stability — unanimous ts agreement, or a
-//     reply whose wire kFlagTsConfirmed bit shows the adopted ts is already
-//     majority-acked; writers and slow-path readers broadcast
-//     fire-and-forget kConfirm frames to make that the common case. Same
-//     rule, same safety argument as AbdCluster (DESIGN.md §15).
+//   try_write(reg, ts, v): majority write. The CALLER owns the timestamp and
+//     must keep it monotone per register (the single-writer regime of the
+//     paper); this also makes a timed-out write idempotently retryable with
+//     the same (ts, v) — replicas ignore stale timestamps and re-ack.
+//   try_read(reg): atomic read, one round when the query quorum proves the
+//     adopted pair stable, query + write-back otherwise.
+//   try_query(reg): the query round alone (a recovering replica's resync).
 //
-// Loss/crash handling is the retransmission loop of AbdCluster::run_round:
-// rebroadcast with the SAME rid on a RetryBackoff schedule, deduplicate
-// replies by responder id, and give up with OpStatus::kTimeout at
-// AbdConfig::op_deadline. Incarnation epochs ride in every reply frame: the
-// client tracks the highest epoch seen per replica and discards replies
-// stamped by an earlier incarnation (a SIGSTOPped pre-crash replica
-// resumed after its successor restarted cannot confuse a round).
-//
-// Under a degraded network (net/chaos_proxy) two refinements matter:
-//   * the per-operation deadline is threaded into every bus send, so a
-//     half-open connection whose kernel buffer filled cannot wedge an
-//     operation past its deadline;
-//   * the retransmission floor adapts to measured per-replica RTT (EWMA,
-//     same alpha-1/4 scheme as ReplicaHealth): on a 25 ms-delay link the
-//     first retransmit waits ~4x the observed RTT instead of firing a
-//     futile wave every initial_rto, and on a fast loopback it drops below
-//     the configured floor for snappier loss recovery.
+// What the socket transport (TcpPort) adds: every send is bounded by the
+// operation deadline, so a half-open connection whose kernel buffer filled
+// cannot wedge an operation past it; epochs are learned only from replies
+// (the client tracks the highest per replica); and every round's
+// retransmission timeout derives from measured RTTs — on a 25 ms-delay link
+// the first retransmit waits ~4x the observed RTT instead of firing a
+// futile wave every initial_rto.
 //
 // One operation at a time per client (op_mu_): concurrent load comes from
 // many clients, matching one-mailbox-per-client SimNetwork usage.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
-#include "abd/abd_register.hpp"
+#include "abd/client.hpp"
+#include "abd/core.hpp"
 #include "net/tcp_bus.hpp"
 
 namespace asnap::abd {
 
 class RemoteRegisterClient {
  public:
-  struct ReadResult {
-    std::uint64_t ts = 0;
-    net::wire::Bytes value;  ///< empty with ts == 0: never written
-  };
+  /// value is empty with ts == 0: never written.
+  using ReadResult = Versioned<net::wire::Bytes>;
 
   struct Stats {
     /// Protocol rounds started (query / write / write-back); retransmission
@@ -82,7 +64,7 @@ class RemoteRegisterClient {
   OpStatus try_write(std::uint64_t reg, std::uint64_t ts,
                      const net::wire::Bytes& value);
 
-  /// Atomic read: query round + write-back round. nullopt on timeout.
+  /// Atomic read. nullopt on timeout.
   std::optional<ReadResult> try_read(std::uint64_t reg);
 
   /// Query round only — NO write-back, so not atomic on its own. Used by a
@@ -93,41 +75,33 @@ class RemoteRegisterClient {
   Stats stats() const;
   std::uint64_t reconnects() const { return bus_.reconnects(); }
 
-  /// Smoothed round-trip estimate for one replica, 0 before any sample.
-  std::chrono::microseconds rtt_estimate(std::size_t replica) const;
-
-  /// The retransmission floor the next round will start from: 4x the worst
-  /// smoothed per-replica RTT, clamped to [500us, max_rto]; the configured
-  /// initial_rto until a first sample exists. Exposed for tests/reports.
-  std::chrono::microseconds adaptive_rto() const;
-
  private:
-  /// Stability evidence a query round gathers for the fast-read decision.
-  struct QueryEvidence {
-    std::size_t accepted = 0;   ///< replies counted toward the quorum
-    std::size_t agree = 0;      ///< of those, replies at the final best ts
-    bool best_confirmed = false;  ///< some best-ts reply had kFlagTsConfirmed
+  /// The socket transport: epochs are learned from replies alone, there is
+  /// no failure detector, and every round starts from the RTT-derived RTO,
+  /// floored where retransmits would race the kernel's own delivery on
+  /// loopback.
+  struct TcpPort {
+    static constexpr bool kAlwaysAdaptiveRto = true;
+    static constexpr std::chrono::microseconds kMinRto{500};
+    net::TcpBus* bus;
+    std::uint64_t client_id;
+
+    std::size_t size() const { return bus->size(); }
+    std::uint64_t self() const { return client_id; }
+    net::Mailbox& inbox() { return bus->inbox(); }
+    void send(std::size_t to, const net::wire::Frame& frame,
+              Clock::time_point deadline) {
+      bus->send(to, frame, deadline);
+    }
+    std::uint64_t epoch_floor(std::size_t) const { return 0; }
+    Suspects suspects() const { return {}; }  // no failure detector
   };
 
-  OpStatus run_round(net::wire::Frame request, std::uint8_t expect_type,
-                     std::size_t needed, ReadResult* collect,
-                     QueryEvidence* ev = nullptr);
-  /// Fire-and-forget kConfirm broadcast after a majority-acked write or
-  /// write-back; a lost confirm only costs future fast-read hits.
-  void broadcast_confirm(std::uint64_t reg, std::uint64_t ts);
-  void record_rtt(std::size_t replica, std::chrono::microseconds sample);
-
-  const std::uint64_t client_id_;
   const AbdConfig config_;
   net::TcpBus bus_;
+  Counters counters_;
+  Client<net::wire::Bytes, TcpPort> client_;
   std::mutex op_mu_;
-  std::uint64_t next_rid_ = 1;
-  std::vector<std::uint64_t> max_epoch_;  ///< highest epoch seen per replica
-  /// Smoothed RTT per replica in microseconds, 0 = no sample yet. Atomic so
-  /// rtt_estimate()/adaptive_rto() never contend with a round in flight.
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> rtt_us_;
-  mutable std::mutex stats_mu_;
-  Stats stats_;
 };
 
 }  // namespace asnap::abd

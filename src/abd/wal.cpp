@@ -121,16 +121,15 @@ std::uint64_t replay(const std::vector<std::uint8_t>& buf, WalState* state) {
 
 }  // namespace
 
-ReplicaWal::ReplicaWal(std::string path, int fd, bool fsync,
-                       std::uint64_t bytes)
-    : path_(std::move(path)), fsync_(fsync), fd_(fd), bytes_(bytes) {}
+ReplicaWal::ReplicaWal(std::string path, int fd, std::uint64_t bytes)
+    : path_(std::move(path)), fd_(fd), bytes_(bytes) {}
 
 ReplicaWal::~ReplicaWal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
 std::unique_ptr<ReplicaWal> ReplicaWal::open(const std::string& path,
-                                             WalState* state, bool fsync,
+                                             WalState* state,
                                              std::string* error) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
@@ -178,8 +177,7 @@ std::unique_ptr<ReplicaWal> ReplicaWal::open(const std::string& path,
     ::close(fd);
     return nullptr;
   }
-  return std::unique_ptr<ReplicaWal>(
-      new ReplicaWal(path, fd, fsync, good));
+  return std::unique_ptr<ReplicaWal>(new ReplicaWal(path, fd, good));
 }
 
 const char* wal_error_name(WalError error) {
@@ -220,7 +218,7 @@ bool ReplicaWal::append_record(std::uint16_t type, std::uint64_t reg,
   if (!write_all(fd_, rec.data(), rec.size())) {
     return fail_append_locked(errno);
   }
-  if (fsync_ && ::fsync(fd_) != 0) return fail_append_locked(errno);
+  if (::fsync(fd_) != 0) return fail_append_locked(errno);
   bytes_ += rec.size();
   last_error_ = WalError::kNone;
   return true;
@@ -261,8 +259,7 @@ bool ReplicaWal::compact(const WalState& state) {
     const auto rec = encode_record(kRecWrite, reg, pair.first, pair.second);
     img.insert(img.end(), rec.begin(), rec.end());
   }
-  if (!write_all(fd, img.data(), img.size()) ||
-      (fsync_ && ::fsync(fd) != 0)) {
+  if (!write_all(fd, img.data(), img.size()) || ::fsync(fd) != 0) {
     ::close(fd);
     ::unlink(tmp.c_str());
     return false;
@@ -281,16 +278,13 @@ bool ReplicaWal::compact(const WalState& state) {
   fd_ = nfd;
   bytes_ = img.size();
   // Persist the rename itself: fsync the containing directory.
-  if (fsync_) {
-    const std::size_t slash = path_.rfind('/');
-    const std::string dir = slash == std::string::npos
-                                ? std::string(".")
-                                : path_.substr(0, slash);
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
-    }
+  const std::size_t slash = path_.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? std::string(".") : path_.substr(0, slash);
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    ::fsync(dfd);
+    ::close(dfd);
   }
   return true;
 }

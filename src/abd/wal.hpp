@@ -25,21 +25,18 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "abd/core.hpp"
 #include "net/wire.hpp"
 
 namespace asnap::abd {
 
-/// Everything a replica must remember across kill -9.
-struct WalState {
-  std::uint64_t epoch = 0;
-  /// reg -> (ts, value); absent regs have never been written.
-  std::map<std::uint64_t, std::pair<std::uint64_t, net::wire::Bytes>> regs;
-};
+/// Everything a replica must remember across kill -9: the daemon's
+/// ReplicaCore state, which replay fills and compaction reads.
+using WalState = ReplicaState<net::wire::Bytes>;
 
 /// Why the last append failed. A full disk (kNoSpace) is operator-actionable
 /// and retryable once space frees; anything else (kIo) means the device or
@@ -59,11 +56,9 @@ class ReplicaWal {
  public:
   /// Open (creating if needed) `path` and replay it into *state. Torn or
   /// corrupt tail records are truncated away. nullptr + error message on
-  /// I/O failure. With fsync=false appends skip the fsync — measurement
-  /// mode only; it forfeits the durability argument.
+  /// I/O failure.
   static std::unique_ptr<ReplicaWal> open(const std::string& path,
-                                          WalState* state, bool fsync,
-                                          std::string* error);
+                                          WalState* state, std::string* error);
   ~ReplicaWal();
 
   ReplicaWal(const ReplicaWal&) = delete;
@@ -99,14 +94,13 @@ class ReplicaWal {
                              std::size_t partial_bytes = 0);
 
  private:
-  ReplicaWal(std::string path, int fd, bool fsync, std::uint64_t bytes);
+  ReplicaWal(std::string path, int fd, std::uint64_t bytes);
 
   bool append_record(std::uint16_t type, std::uint64_t reg, std::uint64_t ts,
                      const net::wire::Bytes& value);
   bool fail_append_locked(int error_no);
 
   const std::string path_;
-  const bool fsync_;
   mutable std::mutex mu_;
   int fd_ = -1;
   std::uint64_t bytes_ = 0;

@@ -393,6 +393,12 @@ RunReport run(const OrchestratorOptions& opt) {
       while (!st.stop_requested()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         const std::uint64_t now = now_ns();
+        // Time since `stamp`. A worker may store a stamp after `now` was
+        // read; that op has just begun or ended, so it has waited 0 ns —
+        // the plain unsigned difference would wrap and flag a phantom stall.
+        const auto since = [now](std::uint64_t stamp) {
+          return now > stamp ? now - stamp : 0;
+        };
         const bool quorum = usable_count() >= majority;
         for (std::size_t p = 0; p < n; ++p) {
           // A node that came back before anyone suspected it forfeits its
@@ -411,7 +417,7 @@ RunReport run(const OrchestratorOptions& opt) {
           const std::uint64_t started =
               ws.op_start_ns.load(std::memory_order_relaxed);
           if (started != 0 &&
-              now - std::max(started, healthy_since[p]) > stall) {
+              since(std::max(started, healthy_since[p])) > stall) {
             flagged[p] = true;
             add_violation("liveness: operation by healthy node " +
                           std::to_string(p) + " blocked past the stall window");
@@ -419,7 +425,7 @@ RunReport run(const OrchestratorOptions& opt) {
           }
           const std::uint64_t last =
               ws.last_success_ns.load(std::memory_order_relaxed);
-          if (now - std::max(last, healthy_since[p]) > stall) {
+          if (since(std::max(last, healthy_since[p])) > stall) {
             flagged[p] = true;
             add_violation("liveness: healthy node " + std::to_string(p) +
                           " completed no operation inside the stall window");

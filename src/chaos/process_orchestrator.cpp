@@ -47,7 +47,6 @@ bool ProcessCluster::spawn_locked(std::size_t i) {
   std::vector<std::string> arg_strs = {
       config_.replicad_path, "--id", id, "--peers", peers,
       "--state-dir", config_.state_dir, "--regs", regs};
-  if (!config_.fsync) arg_strs.push_back("--no-fsync");
   std::vector<char*> argv;
   argv.reserve(arg_strs.size() + 1);
   for (auto& s : arg_strs) argv.push_back(s.data());

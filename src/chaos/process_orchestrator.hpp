@@ -41,7 +41,6 @@ struct ProcessClusterConfig {
   std::string state_dir;      ///< per-replica WALs + logs live under here
   std::vector<net::Endpoint> endpoints;  ///< one per replica, id order
   std::uint64_t regs = 16;    ///< register universe the daemons resync
-  bool fsync = true;          ///< forward --no-fsync when false
   std::chrono::milliseconds restart_delay{200};
   bool auto_restart = true;
   /// Put a net::ChaosProxy in front of every replica and hand CLIENTS the

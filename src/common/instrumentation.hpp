@@ -44,30 +44,11 @@ struct StepCounters {
   }
 };
 
-/// Per-thread counters for message-round retry behaviour (the ABD client
-/// loops over the lossy network). Complements StepCounters: steps measure
-/// shared-memory complexity, retries measure message-passing robustness
-/// overhead (rounds started, broadcasts retransmitted, duplicate replies
-/// discarded by the per-responder dedup, rounds abandoned at deadline).
-struct RetryCounters {
-  std::uint64_t rounds = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t dup_replies = 0;
-  std::uint64_t timeouts = 0;
-
-  RetryCounters operator-(const RetryCounters& rhs) const {
-    return RetryCounters{rounds - rhs.rounds, retransmits - rhs.retransmits,
-                         dup_replies - rhs.dup_replies,
-                         timeouts - rhs.timeouts};
-  }
-};
-
 /// Hook invoked before every primitive step of the calling thread.
 using StepHook = void (*)(void* ctx, StepKind kind);
 
 struct ThreadStepState {
   StepCounters counters;
-  RetryCounters retries;
   StepHook hook = nullptr;
   void* hook_ctx = nullptr;
 };
@@ -104,25 +85,6 @@ class ScopedStepHook {
 
  private:
   ThreadStepState saved_;
-};
-
-/// Events on the message-round retry path, recorded per thread so a test or
-/// bench can attribute retransmission overhead to the operation it just ran.
-inline void note_round() { ++step_state().retries.rounds; }
-inline void note_retransmit() { ++step_state().retries.retransmits; }
-inline void note_dup_reply() { ++step_state().retries.dup_replies; }
-inline void note_round_timeout() { ++step_state().retries.timeouts; }
-
-/// Measures the retry events recorded by the current thread between
-/// construction and elapsed() — the message-passing analogue of StepMeter.
-class RetryMeter {
- public:
-  RetryMeter() : start_(step_state().retries) {}
-  RetryCounters elapsed() const { return step_state().retries - start_; }
-  void reset() { start_ = step_state().retries; }
-
- private:
-  RetryCounters start_;
 };
 
 /// Measures the primitive operations executed by the current thread between

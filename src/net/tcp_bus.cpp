@@ -122,10 +122,6 @@ bool TcpBus::ensure_connected(Link& link, std::size_t idx,
   return true;
 }
 
-bool TcpBus::send(std::size_t to, const wire::Frame& frame) {
-  return send(to, frame, Clock::time_point{});
-}
-
 bool TcpBus::send(std::size_t to, const wire::Frame& frame,
                   Clock::time_point deadline) {
   if (to >= links_.size()) return false;

@@ -1,6 +1,6 @@
 // TcpBus: one logical client's connections to every replica daemon, shaped
-// like the client-port view of net::Network so the ABD quorum-round
-// machinery translates directly to real sockets.
+// like the client-port view of net::Network so the one ABD client
+// (abd::Client) runs over real sockets unchanged.
 //
 // In the simulated cluster a client broadcasts on Port::kServer and then
 // drains its own Port::kClient Mailbox; dedup by responder id, epoch checks
@@ -9,8 +9,8 @@
 // (re)connects and writes one wire frame; a per-link reader thread pushes
 // every inbound frame into a single shared Mailbox as
 // Message{from = replica index, type, rid, payload = wire::Frame}. The
-// caller's round loop is therefore the same code shape whether the far end
-// is a jthread or a process that can be `kill -9`ed: unreachable replicas
+// caller's round loop is therefore the same code whether the far end is a
+// jthread or a process that can be `kill -9`ed: unreachable replicas
 // surface as failed sends / absent replies, never as blocking.
 //
 // Threading contract: send() may be called from one op thread at a time
@@ -60,14 +60,12 @@ class TcpBus {
 
   /// Write one frame to replica `to`, (re)connecting if needed. False when
   /// the replica is unreachable right now — the caller's retransmit loop
-  /// handles it, same as a dropped SimNetwork message.
-  bool send(std::size_t to, const wire::Frame& frame);
-
-  /// Same, but both the (re)connect attempt and the write itself are capped
-  /// by `deadline`: a half-open connection whose send buffer filled up fails
-  /// the send instead of wedging the caller's whole operation.
+  /// handles it, same as a dropped SimNetwork message. A non-default
+  /// `deadline` caps both the (re)connect attempt and the write itself: a
+  /// half-open connection whose send buffer filled up fails the send
+  /// instead of wedging the caller's whole operation.
   bool send(std::size_t to, const wire::Frame& frame,
-            std::chrono::steady_clock::time_point deadline);
+            std::chrono::steady_clock::time_point deadline = {});
 
   /// Replies from all replicas (the Port::kClient analog). Frame payloads
   /// arrive as std::any_cast<wire::Frame>-able messages.

@@ -1,11 +1,12 @@
 // Versioned, length-prefixed wire format for the ABD replica protocol over
 // real sockets.
 //
-// Everything the simulated cluster exchanges through net::SimNetwork-style
-// mailboxes (abd::MsgType requests/replies, failure-detector heartbeats) has
-// a fixed binary encoding here, so independent OS processes — the
-// tools/abd_replicad replica daemons and any client built on
-// abd::RemoteRegisterClient — interoperate across restarts and versions:
+// The ABD protocol messages (BasicFrame below) are shared by both
+// transports: the in-process cluster exchanges them over net::SimNetwork,
+// typed by its register value, and over sockets they have a fixed binary
+// encoding, so independent OS processes — the tools/abd_replicad replica
+// daemons and any client built on abd::RemoteRegisterClient — interoperate
+// across restarts and versions:
 //
 //   frame  := u32 body_len | body                  (body_len <= kMaxBody)
 //   body   := u32 magic 'SNAP' | u8 version | u8 type | u16 flags
@@ -17,7 +18,7 @@
 // (retransmissions reuse the rid — replica handlers are idempotent);
 // `epoch` is the replying replica's incarnation, bumped durably on every
 // daemon (re)start so clients can discard replies stamped by a pre-crash
-// incarnation (the socket analog of AbdCluster's epoch check); `ts`/`reg`
+// incarnation (abd::QuorumRound's epoch filter); `ts`/`reg`
 // carry the ABD timestamp and register index. Values are opaque byte
 // strings — the daemon replicates them without interpretation; typed
 // clients encode through the codecs at the bottom (lin::Tag, u64).
@@ -54,11 +55,12 @@ inline constexpr std::size_t kHeaderBytes = 4 + 1 + 1 + 2 + 8 * 5 + 4;
 /// they become allocation bombs.
 inline constexpr std::uint32_t kMaxBody = 1u << 20;
 
-/// Protocol message discriminators. 1..4 mirror abd::MsgType so a trace of
-/// either cluster reads the same; 5/6 are the socket transport's liveness
-/// probes (the real-network stand-in for Port::kDetector heartbeats); 7 is
-/// v2's fire-and-forget stability notice (no reply — a daemon folds it into
-/// its per-register confirmed ts, and a v1 peer ignores the unknown type).
+/// Protocol message discriminators, shared by both ABD transports. 1..4 are
+/// the read/write requests and replies; 5/6 are the socket transport's
+/// liveness probes (the real-network stand-in for Port::kDetector
+/// heartbeats); 7 is v2's fire-and-forget stability notice (no reply — a
+/// replica folds it into its per-register confirmed ts, and a v1 peer
+/// ignores the unknown type).
 enum Type : std::uint8_t {
   kReadReq = 1,
   kReadReply = 2,
@@ -76,7 +78,11 @@ inline constexpr std::uint16_t kFlagTsConfirmed = 1u << 0;
 
 using Bytes = std::vector<std::uint8_t>;
 
-struct Frame {
+/// One protocol message. The value type is a template parameter so the
+/// in-process cluster can carry typed register values; only Frame (opaque
+/// bytes) has a wire encoding.
+template <typename V>
+struct BasicFrame {
   std::uint8_t version = kWireVersion;
   std::uint8_t type = 0;
   std::uint16_t flags = 0;  ///< kFlag* bits; always 0 when decoded from v1
@@ -85,8 +91,9 @@ struct Frame {
   std::uint64_t epoch = 0;  ///< responder incarnation (replies)
   std::uint64_t reg = 0;    ///< register index
   std::uint64_t ts = 0;     ///< ABD timestamp
-  Bytes value;
+  V value{};
 };
+using Frame = BasicFrame<Bytes>;
 
 /// Serialize including the u32 length prefix, ready for send().
 Bytes encode(const Frame& frame);

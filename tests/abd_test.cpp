@@ -1,22 +1,319 @@
 // Tests for the ABD register emulation and the message-passing snapshot
-// (experiment E9): register atomicity, snapshot linearizability over the
-// network, minority-crash resilience, and message-complexity accounting.
+// (experiment E9): the protocol core's two state machines driven by an
+// injected clock (QuorumRound, ReplicaCore), register atomicity, snapshot
+// linearizability over the network, minority-crash resilience, and
+// message-complexity accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "abd/abd_register.hpp"
 #include "abd/abd_snapshot.hpp"
+#include "abd/core.hpp"
 #include "lin/history.hpp"
 #include "lin/snapshot_checker.hpp"
 
 namespace asnap::abd {
 namespace {
 
+using namespace std::chrono_literals;
 using lin::Tag;
+using Frame = net::wire::BasicFrame<int>;
+
+// --- QuorumRound: one client round, clock injected -------------------------
+
+/// A fixed origin for the injected clock: only differences matter.
+const Clock::time_point kT0 = Clock::time_point{} + 1h;
+
+Frame reply(std::uint8_t type, std::uint64_t epoch, std::uint64_t ts = 0,
+            int value = 0, bool confirmed = false) {
+  Frame f;
+  f.type = type;
+  f.epoch = epoch;
+  f.ts = ts;
+  f.value = value;
+  f.flags = confirmed ? net::wire::kFlagTsConfirmed : 0;
+  return f;
+}
+
+Frame read_reply(std::uint64_t ts, int value, bool confirmed = false) {
+  return reply(net::wire::kReadReply, 0, ts, value, confirmed);
+}
+
+/// One client's view of n replicas plus a round over them.
+struct RoundFixture {
+  explicit RoundFixture(std::size_t n, AbdConfig cfg = {},
+                        Suspects suspects = {}, std::size_t needed = 0)
+      : config(cfg), peers(n) {
+    round.emplace(peers, config, counters,
+                  QuorumRound<int>::Params{
+                      .pid = 1,
+                      .rid = 7,
+                      .needed = needed != 0 ? needed : n / 2 + 1,
+                      .rto = 1ms,
+                      .suspects = std::move(suspects)},
+                  kT0);
+  }
+
+  /// Run a wave at `now` and return the replicas it targeted.
+  std::set<std::size_t> wave(Clock::time_point now) {
+    std::set<std::size_t> targets;
+    round->wave(now, [&](std::size_t to) { targets.insert(to); });
+    return targets;
+  }
+
+  AbdConfig config;
+  Counters counters;
+  std::vector<Peer> peers;
+  std::optional<QuorumRound<int>> round;
+};
+
+TEST(QuorumRound, CountsEachResponderOnce) {
+  RoundFixture f(3);
+  f.wave(kT0);
+  f.round->on_reply(0, read_reply(1, 10), kT0 + 10us);
+  f.round->on_reply(0, read_reply(1, 10), kT0 + 20us);  // duplicate
+  EXPECT_EQ(f.round->counted(), 1u);
+  EXPECT_EQ(load(f.counters.dup_replies), 1u);
+  EXPECT_FALSE(f.round->done()) << "one replica must not fill a quorum of 2";
+  f.round->on_reply(2, read_reply(1, 10), kT0 + 30us);
+  EXPECT_TRUE(f.round->done());
+}
+
+TEST(QuorumRound, StaleEpochReplyLeavesReplicaUncounted) {
+  RoundFixture f(3);
+  f.peers[1].epoch_floor = 2;  // the client has heard incarnation 2
+  f.wave(kT0);
+  f.round->on_reply(1, reply(net::wire::kReadReply, 1, 5, 50), kT0 + 10us);
+  EXPECT_EQ(f.round->counted(), 0u) << "a pre-crash reply must not count";
+  EXPECT_EQ(load(f.counters.stale_epoch_replies), 1u);
+  // The stale reply was not folded: its ts = 5 must not be adopted.
+  f.round->on_reply(1, reply(net::wire::kReadReply, 3, 1, 10), kT0 + 20us);
+  EXPECT_EQ(f.round->counted(), 1u) << "the current incarnation still counts";
+  EXPECT_EQ(f.peers[1].epoch_floor, 3u) << "the floor rises to what was heard";
+  EXPECT_EQ(f.round->best_ts(), 1u);
+}
+
+TEST(QuorumRound, UnanimousQuorumIsFastEvenAtTsZero) {
+  RoundFixture f(3);
+  f.wave(kT0);
+  f.round->on_reply(0, read_reply(0, -1), kT0 + 10us);
+  f.round->on_reply(1, read_reply(0, -1), kT0 + 10us);
+  ASSERT_TRUE(f.round->done());
+  EXPECT_EQ(f.round->best_value(), -1) << "the initial value is adopted";
+  EXPECT_TRUE(f.round->fast_read())
+      << "ts = 0 is never confirmed; unanimity alone proves stability";
+}
+
+TEST(QuorumRound, ConfirmedBitCountsOnlyOnBestTsReply) {
+  // The confirmed reply is older than the adopted ts: no evidence, whether
+  // it arrives before or after the best one.
+  for (const bool older_first : {true, false}) {
+    RoundFixture f(3);
+    f.wave(kT0);
+    const Frame older = read_reply(1, 10, /*confirmed=*/true);
+    const Frame best = read_reply(2, 20);
+    f.round->on_reply(0, older_first ? older : best, kT0 + 1us);
+    f.round->on_reply(1, older_first ? best : older, kT0 + 2us);
+    EXPECT_EQ(f.round->best_ts(), 2u);
+    EXPECT_EQ(f.round->best_value(), 20);
+    EXPECT_FALSE(f.round->fast_read()) << "older_first=" << older_first;
+  }
+  {  // a best-ts reply carries the bit: stable despite disagreement
+    RoundFixture f(3);
+    f.wave(kT0);
+    f.round->on_reply(0, read_reply(1, 10), kT0 + 1us);
+    f.round->on_reply(1, read_reply(2, 20, /*confirmed=*/true), kT0 + 2us);
+    EXPECT_TRUE(f.round->fast_read());
+  }
+}
+
+TEST(QuorumRound, DisagreementFallsBackUnlessUnsafeKnob) {
+  for (const bool unsafe : {false, true}) {
+    AbdConfig config;
+    config.unsafe_always_fast_read = unsafe;
+    RoundFixture f(3, config);
+    f.wave(kT0);
+    f.round->on_reply(0, read_reply(2, 20), kT0 + 1us);
+    f.round->on_reply(2, read_reply(1, 10), kT0 + 2us);
+    EXPECT_EQ(f.round->best_ts(), 2u);
+    EXPECT_EQ(f.round->fast_read(), unsafe)
+        << "only the negative-test knob may skip write-back without proof";
+  }
+  AbdConfig off;
+  off.fast_reads = false;
+  RoundFixture f(3, off);
+  f.wave(kT0);
+  f.round->on_reply(0, read_reply(2, 20), kT0 + 1us);
+  f.round->on_reply(1, read_reply(2, 20), kT0 + 2us);
+  EXPECT_FALSE(f.round->fast_read()) << "fast reads off: always write back";
+}
+
+TEST(QuorumRound, RetransmitWavesSkipCountedReplicasOnABackoffTimer) {
+  RoundFixture f(3);
+  EXPECT_EQ(f.round->retransmit_at(), kT0) << "the first wave is due at once";
+  EXPECT_EQ(f.wave(kT0), (std::set<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(f.round->retransmit_at(), kT0 + 1ms);
+  f.round->on_reply(1, read_reply(0, 0), kT0 + 10us);
+  const auto t1 = kT0 + 1ms;
+  EXPECT_EQ(f.wave(t1), (std::set<std::size_t>{0, 2}));
+  EXPECT_EQ(f.round->retransmit_at(), t1 + 2ms) << "the timeout doubles";
+  EXPECT_EQ(load(f.counters.retransmits), 1u);
+  EXPECT_EQ(load(f.counters.rounds), 1u);
+}
+
+TEST(QuorumRound, KarnRuleSamplesOnlySingleTransmissions) {
+  RoundFixture f(3);
+  f.wave(kT0);
+  f.round->on_reply(1, read_reply(0, 0), kT0 + 40us);  // answered wave 1
+  f.wave(kT0 + 1ms);                                    // resend to 0 and 2
+  f.round->on_reply(0, read_reply(0, 0), kT0 + 1ms + 30us);
+  EXPECT_EQ(f.peers[1].rtt, 40us);
+  EXPECT_EQ(f.peers[0].rtt.count(), 0)
+      << "a reply after a retransmission may answer either copy: no sample";
+}
+
+TEST(QuorumRound, RttEstimateIsAnEwmaWithAlphaQuarter) {
+  std::vector<Peer> peers(1);
+  AbdConfig config;
+  Counters counters;
+  for (const auto rtt : {400us, 800us}) {
+    QuorumRound<int> round(peers, config, counters, {.needed = 1, .rto = 1ms},
+                           kT0);
+    round.wave(kT0, [](std::size_t) {});
+    round.on_reply(0, read_reply(0, 0), kT0 + rtt);
+  }
+  EXPECT_EQ(peers[0].rtt, 500us) << "400 + (800 - 400) / 4";
+}
+
+TEST(QuorumRound, RtoRuleClampsFourTimesTheSlowestEstimate) {
+  AbdConfig config;  // initial_rto 20 ms, max_rto 160 ms
+  constexpr std::chrono::microseconds kFloor = 500us;
+  std::vector<Peer> peers(3);
+  EXPECT_EQ(round_rto(peers, config, kFloor), config.initial_rto)
+      << "no sample yet: the configured initial_rto";
+  peers[0].rtt = 100us;
+  peers[2].rtt = 300us;
+  EXPECT_EQ(round_rto(peers, config, kFloor), 1200us)
+      << "4 x the slowest replica";
+  peers[2].rtt = 10us;
+  EXPECT_EQ(round_rto(peers, config, kFloor), kFloor) << "floored";
+  peers[2].rtt = 100ms;
+  EXPECT_EQ(round_rto(peers, config, kFloor), config.max_rto) << "capped";
+  config.max_rto = 300us;  // a cap below the floor wins, without UB
+  peers[2].rtt = 10us;
+  EXPECT_EQ(round_rto(peers, config, kFloor), 300us);
+}
+
+TEST(QuorumRound, BreakerSkipsSuspectsAndProbesEveryFourthWave) {
+  AbdConfig config;
+  config.breaker.enabled = true;
+  RoundFixture f(3, config, [](std::size_t r) { return r == 2; });
+  auto now = kT0;
+  for (std::uint32_t wave = 1; wave <= 2 * kProbeEvery; ++wave) {
+    const auto targets = f.wave(now);
+    EXPECT_EQ(targets.count(2) == 1, wave % kProbeEvery == 0)
+        << "wave " << wave;
+    EXPECT_EQ(targets.count(0), 1u);
+    now = f.round->retransmit_at();
+  }
+  EXPECT_EQ(load(f.counters.breaker_skips), 2 * (kProbeEvery - 1));
+}
+
+TEST(QuorumRound, BreakerFailsFastAfterGraceAndNeverShrinksTheQuorum) {
+  AbdConfig config;
+  config.breaker.enabled = true;
+  config.breaker.fail_fast_grace = 10ms;
+  const Suspects majority_down = [](std::size_t r) { return r != 0; };
+  RoundFixture f(3, config, majority_down);
+  f.wave(kT0);
+  f.round->on_reply(0, read_reply(0, 0), kT0 + 10us);
+  EXPECT_FALSE(f.round->done()) << "the breaker must not shrink the quorum";
+  EXPECT_FALSE(f.round->starved(kT0 + 1ms)) << "grace starts now";
+  EXPECT_FALSE(f.round->starved(kT0 + 10ms));
+  EXPECT_TRUE(f.round->starved(kT0 + 11ms));
+  EXPECT_EQ(load(f.counters.fail_fasts), 1u);
+
+  // Only the negative-test knob shrinks it — and then never fails fast.
+  config.breaker.unsafe_shrink_quorum = true;
+  RoundFixture broken(3, config, majority_down);
+  broken.wave(kT0);
+  broken.round->on_reply(0, read_reply(0, 0), kT0 + 10us);
+  EXPECT_TRUE(broken.round->done());
+  EXPECT_FALSE(broken.round->starved(kT0 + 1s));
+}
+
+// --- ReplicaCore: one replica's rules ----------------------------------------
+
+Frame request(std::uint8_t type, std::uint64_t ts = 0, int value = 0) {
+  Frame f;
+  f.type = type;
+  f.rid = 42;
+  f.ts = ts;
+  f.value = value;
+  return f;
+}
+
+TEST(ReplicaCore, WriteAppliesOnlyWhenNewerAndIsAlwaysAcked) {
+  ReplicaCore<int> core;
+  core.set_epoch(7);
+  const std::pair<std::uint64_t, int> writes[] = {{2, 20}, {1, 10}, {2, 99}};
+  for (const auto& [ts, value] : writes) {
+    const auto ack = core.handle(request(net::wire::kWriteReq, ts, value));
+    ASSERT_TRUE(ack.has_value()) << "every write is acked, stale or not";
+    EXPECT_EQ(ack->type, net::wire::kWriteAck);
+    EXPECT_EQ(ack->rid, 42u);
+    EXPECT_EQ(ack->epoch, 7u) << "every reply carries the incarnation";
+  }
+  const auto read = core.handle(request(net::wire::kReadReq));
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->ts, 2u);
+  EXPECT_EQ(read->value, 20) << "an equal or older ts never overwrites";
+  EXPECT_EQ(read->epoch, 7u);
+}
+
+TEST(ReplicaCore, ConfirmsFoldByMaxAndGetNoReply) {
+  ReplicaCore<int> core;
+  EXPECT_FALSE(core.handle(request(net::wire::kConfirm, 3)).has_value());
+  EXPECT_FALSE(core.handle(request(net::wire::kConfirm, 1)).has_value());
+  EXPECT_EQ(core.confirmed_ts(0), 3u);
+}
+
+TEST(ReplicaCore, ConfirmedFlagIffTsPositiveAndConfirmedAtLeastTs) {
+  ReplicaCore<int> core;
+  const auto flagged = [&] {
+    return (core.handle(request(net::wire::kReadReq))->flags &
+            net::wire::kFlagTsConfirmed) != 0;
+  };
+  core.handle(request(net::wire::kConfirm, 5));
+  EXPECT_FALSE(flagged()) << "ts = 0 is never served as confirmed";
+  core.handle(request(net::wire::kWriteReq, 6, 60));
+  EXPECT_FALSE(flagged()) << "confirmed 5 < ts 6";
+  core.handle(request(net::wire::kConfirm, 6));
+  EXPECT_TRUE(flagged());
+  core.handle(request(net::wire::kWriteReq, 7, 70));
+  core.handle(request(net::wire::kConfirm, 9));
+  EXPECT_TRUE(flagged()) << "confirmed beyond the stored ts still proves it";
+}
+
+TEST(ReplicaCore, InstallFromResyncNeverConfirms) {
+  ReplicaCore<int> core;
+  core.install(0, 4, 40);
+  core.install(0, 3, 30);  // older: ignored
+  EXPECT_EQ(core.ts(0), 4u);
+  EXPECT_EQ(core.confirmed_ts(0), 0u);
+  const auto read = core.handle(request(net::wire::kReadReq));
+  EXPECT_EQ(read->value, 40);
+  EXPECT_EQ(read->flags & net::wire::kFlagTsConfirmed, 0)
+      << "knowing a value is not knowing a majority stores it";
+}
+
+// --- AbdCluster --------------------------------------------------------------
 
 TEST(AbdCluster, ReadsBackOwnWrite) {
   AbdCluster<int> cluster(3, 3, 0);

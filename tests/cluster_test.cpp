@@ -202,7 +202,7 @@ TEST_F(WalTest, ReplayRestoresWritesAndEpoch) {
   {
     abd::WalState state;
     std::string error;
-    auto wal = abd::ReplicaWal::open(path_, &state, true, &error);
+    auto wal = abd::ReplicaWal::open(path_, &state, &error);
     ASSERT_NE(wal, nullptr) << error;
     EXPECT_EQ(state.epoch, 0u);
     ASSERT_TRUE(wal->append_epoch(1));
@@ -212,7 +212,7 @@ TEST_F(WalTest, ReplayRestoresWritesAndEpoch) {
   }
   abd::WalState state;
   std::string error;
-  auto wal = abd::ReplicaWal::open(path_, &state, true, &error);
+  auto wal = abd::ReplicaWal::open(path_, &state, &error);
   ASSERT_NE(wal, nullptr) << error;
   EXPECT_EQ(state.epoch, 1u);
   ASSERT_EQ(state.regs.count(0), 1u);
@@ -225,7 +225,7 @@ TEST_F(WalTest, TornTailIsTruncatedNotFatal) {
   {
     abd::WalState state;
     std::string error;
-    auto wal = abd::ReplicaWal::open(path_, &state, true, &error);
+    auto wal = abd::ReplicaWal::open(path_, &state, &error);
     ASSERT_NE(wal, nullptr) << error;
     ASSERT_TRUE(wal->append_write(0, 3, {1}));
   }
@@ -237,7 +237,7 @@ TEST_F(WalTest, TornTailIsTruncatedNotFatal) {
   const auto dirty_size = fs::file_size(path_);
   abd::WalState state;
   std::string error;
-  auto wal = abd::ReplicaWal::open(path_, &state, true, &error);
+  auto wal = abd::ReplicaWal::open(path_, &state, &error);
   ASSERT_NE(wal, nullptr) << error;
   EXPECT_EQ(state.regs[0].first, 3u);  // intact prefix survived
   EXPECT_LT(fs::file_size(path_), dirty_size);  // tail gone
@@ -245,14 +245,14 @@ TEST_F(WalTest, TornTailIsTruncatedNotFatal) {
   ASSERT_TRUE(wal->append_write(0, 4, {2}));
   wal.reset();
   abd::WalState again;
-  ASSERT_NE(abd::ReplicaWal::open(path_, &again, true, &error), nullptr);
+  ASSERT_NE(abd::ReplicaWal::open(path_, &again, &error), nullptr);
   EXPECT_EQ(again.regs[0].first, 4u);
 }
 
 TEST_F(WalTest, CompactionShrinksLogAndPreservesState) {
   abd::WalState state;
   std::string error;
-  auto wal = abd::ReplicaWal::open(path_, &state, true, &error);
+  auto wal = abd::ReplicaWal::open(path_, &state, &error);
   ASSERT_NE(wal, nullptr) << error;
   ASSERT_TRUE(wal->append_epoch(3));
   state.epoch = 3;
@@ -267,7 +267,7 @@ TEST_F(WalTest, CompactionShrinksLogAndPreservesState) {
   ASSERT_TRUE(wal->append_write(0, 51, {51}));
   wal.reset();
   abd::WalState replayed;
-  ASSERT_NE(abd::ReplicaWal::open(path_, &replayed, true, &error), nullptr);
+  ASSERT_NE(abd::ReplicaWal::open(path_, &replayed, &error), nullptr);
   EXPECT_EQ(replayed.epoch, 3u);
   EXPECT_EQ(replayed.regs[0].first, 51u);
 }

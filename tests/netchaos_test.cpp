@@ -281,7 +281,7 @@ TEST_F(WalTempDir, DiskFullNeverAcksThenLoses) {
   const std::string path = dir + "/wal.log";
   abd::WalState state;
   std::string error;
-  auto wal = abd::ReplicaWal::open(path, &state, /*fsync=*/true, &error);
+  auto wal = abd::ReplicaWal::open(path, &state, &error);
   ASSERT_NE(wal, nullptr) << error;
 
   ASSERT_TRUE(wal->append_write(0, 1, {0xAA}));
@@ -306,7 +306,7 @@ TEST_F(WalTempDir, DiskFullNeverAcksThenLoses) {
   // failed writes absent — exactly what "never ack-then-lose" promises.
   abd::WalState replayed;
   auto reopened =
-      abd::ReplicaWal::open(path, &replayed, /*fsync=*/true, &error);
+      abd::ReplicaWal::open(path, &replayed, &error);
   ASSERT_NE(reopened, nullptr) << error;
   ASSERT_EQ(replayed.regs.count(0), 1u);
   ASSERT_EQ(replayed.regs.count(1), 1u);
@@ -322,7 +322,7 @@ TEST_F(WalTempDir, IoErrorsAreClassifiedDistinctFromDiskFull) {
   const std::string path = dir + "/wal.log";
   abd::WalState state;
   std::string error;
-  auto wal = abd::ReplicaWal::open(path, &state, /*fsync=*/true, &error);
+  auto wal = abd::ReplicaWal::open(path, &state, &error);
   ASSERT_NE(wal, nullptr) << error;
 
   wal->inject_append_failure(EIO, /*count=*/1);

@@ -1,32 +1,31 @@
 // abd_replicad — one ABD register replica as a real OS process.
 //
-// The daemon is the socket-cluster counterpart of a single AbdCluster
-// replica thread: it keeps a timestamped copy of every register, answers
-// READ with its (ts, value, epoch) and applies WRITE iff the timestamp is
-// newer — always acking, so client retransmissions and duplicate delivery
-// are harmless (idempotence). Two things the in-process replica never
-// needed, because its "crashes" were simulated:
+// The daemon serves sockets with abd::ReplicaCore (core.hpp), the replica
+// rules every AbdCluster replica thread runs too: apply WRITE iff the
+// timestamp is newer and always ack, serve READ with the confirmed flag,
+// fold CONFIRM, stamp the incarnation epoch. What the daemon adds around
+// the core, because its crashes are real:
 //
-//   * DURABILITY: every accepted write and every incarnation bump is
-//     appended + fsync()ed to a write-ahead log BEFORE the ack leaves the
-//     process (abd/wal.hpp). A kill -9 can therefore lose only unacked
-//     work; the torn tail of the log is truncated on replay.
+//   * DURABILITY: every write that advances the replica is appended +
+//     fsync()ed to a write-ahead log BEFORE the core applies and acks it
+//     (abd/wal.hpp). A kill -9 can therefore lose only unacked work; the
+//     torn tail of the log is truncated on replay. The core's state is the
+//     one copy of the registers: WAL replay fills it, compaction reads it.
 //   * INCARNATIONS: on every start the daemon replays its WAL, durably
-//     bumps its epoch, and stamps all replies with it, so clients discard
-//     replies produced by a pre-crash incarnation.
+//     bumps its epoch, and the core stamps all replies with it, so clients
+//     discard replies produced by a pre-crash incarnation.
 //
 // Recovery order matters and is deliberate: the daemon serves immediately
 // after replaying its WAL — a replica restored from its log is merely
 // stale, which ABD tolerates by construction (read quorums intersect the
 // majority that acked any write) — and then a background resync thread
-// quorum-reads registers 0..regs-1 through the normal client machinery and
+// quorum-reads registers 0..regs-1 through abd::RemoteRegisterClient and
 // adopts anything newer, restoring full f-tolerance. Serving first avoids
 // the bootstrap deadlock where all replicas of a cold cluster wait on each
 // other's majority.
 //
 // Usage:
-//   abd_replicad --id I --peers host:port,... --state-dir DIR
-//                [--regs N] [--no-fsync] [--no-resync]
+//   abd_replicad --id I --peers host:port,... --state-dir DIR [--regs N]
 // `--peers` lists ALL replica endpoints in id order; the daemon listens on
 // entry I. State lives in DIR/replica-I/ (derived from --id, so replicas of
 // one cluster may share a --state-dir without sharing a WAL). Prints
@@ -39,13 +38,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "abd/core.hpp"
 #include "abd/remote_client.hpp"
 #include "abd/wal.hpp"
 #include "net/socket.hpp"
@@ -55,6 +56,7 @@ namespace asnap {
 namespace {
 
 using namespace std::chrono_literals;
+using net::wire::Frame;
 
 std::atomic<bool> g_stop{false};
 
@@ -65,8 +67,6 @@ struct Args {
   std::vector<net::Endpoint> peers;
   std::string state_dir;
   std::uint64_t regs = 16;
-  bool fsync = true;
-  bool resync = true;
 };
 
 const char* flag_value(int& argc, char** argv, const char* name) {
@@ -81,116 +81,48 @@ const char* flag_value(int& argc, char** argv, const char* name) {
   return nullptr;
 }
 
-bool consume_bool(int& argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Replica state shared by connection handlers and the resync thread.
-/// One mutex covers memory + WAL so compaction can't race appends.
-struct Store {
-  std::mutex mu;
-  abd::WalState state;
-  std::unique_ptr<abd::ReplicaWal> wal;
-  std::uint64_t epoch = 0;
-  /// Highest majority-acked ts per register (wire kConfirm). In-memory
-  /// ONLY, deliberately not in the WAL: resetting to "nothing confirmed" on
-  /// restart is conservative — it costs fast-read hits, never safety — and
-  /// crucially a restarted daemon must not resurrect confirmation for state
-  /// it restored from its log or background resync (a resynced value was
-  /// adopted from a quorum READ, which proves nothing about majority
-  /// stability of THIS replica's ts).
-  std::unordered_map<std::uint64_t, std::uint64_t> confirmed;
+/// The replica shared by connection handlers and the resync thread. One
+/// mutex covers core + WAL so compaction can't race appends.
+struct Replica {
   static constexpr std::uint64_t kCompactBytes = 8ull << 20;
+  std::mutex mu;
+  abd::ReplicaCore<net::wire::Bytes> core;
+  std::unique_ptr<abd::ReplicaWal> wal;
 
-  /// Apply WRITE(reg, ts, value): durably log iff it advances the replica.
-  /// Returns false only on an I/O failure (the caller must NOT ack then —
-  /// an acked write has to be on disk).
-  bool apply_write(std::uint64_t reg, std::uint64_t ts,
-                   const net::wire::Bytes& value) {
+  /// core.handle(req), with a WRITE that advances the replica made durable
+  /// first. False when that append failed: the write is neither applied
+  /// nor acked — an acked write has to be on disk.
+  bool handle(const Frame& req, std::optional<Frame>* reply) {
     std::lock_guard<std::mutex> lock(mu);
-    auto it = state.regs.find(reg);
-    if (it != state.regs.end() && ts <= it->second.first) return true;
-    if (!wal->append_write(reg, ts, value)) return false;
-    state.regs[reg] = {ts, value};
-    if (wal->bytes() > kCompactBytes) wal->compact(state);
+    const bool advances =
+        req.type == net::wire::kWriteReq && core.newer(req.reg, req.ts);
+    if (advances && !wal->append_write(req.reg, req.ts, req.value)) {
+      return false;
+    }
+    *reply = core.handle(req);
+    if (advances && wal->bytes() > kCompactBytes) wal->compact(core.state());
     return true;
-  }
-
-  /// READ(reg) -> (ts, value); (0, empty) when never written.
-  std::pair<std::uint64_t, net::wire::Bytes> read(std::uint64_t reg) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = state.regs.find(reg);
-    if (it == state.regs.end()) return {0, {}};
-    return it->second;
-  }
-
-  /// CONFIRM(reg, ts): ts is majority-acked; fold the maximum.
-  void apply_confirm(std::uint64_t reg, std::uint64_t ts) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto& slot = confirmed[reg];
-    if (ts > slot) slot = ts;
-  }
-
-  /// Highest confirmed ts for reg (0 = nothing confirmed this incarnation).
-  std::uint64_t confirmed_ts(std::uint64_t reg) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = confirmed.find(reg);
-    return it == confirmed.end() ? 0 : it->second;
   }
 };
 
-void serve_connection(std::size_t id, Store& store, net::Socket conn) {
-  net::wire::Frame req;
+void serve_connection(std::size_t id, Replica& replica, net::Socket conn) {
+  Frame req;
   while (!g_stop.load(std::memory_order_acquire)) {
     const auto status = net::recv_frame(
         conn, std::chrono::steady_clock::now() + 250ms, &req);
     if (status == net::RecvStatus::kTimeout) continue;  // idle, re-check stop
     if (status != net::RecvStatus::kOk) return;  // EOF / error / bad frame
-    net::wire::Frame reply;
-    reply.from = id;
-    reply.rid = req.rid;
-    reply.epoch = store.epoch;
-    reply.reg = req.reg;
-    switch (req.type) {
-      case net::wire::kReadReq: {
-        const auto [ts, value] = store.read(req.reg);
-        reply.type = net::wire::kReadReply;
-        reply.ts = ts;
-        reply.value = value;
-        if (ts > 0 && store.confirmed_ts(req.reg) >= ts) {
-          reply.flags |= net::wire::kFlagTsConfirmed;
-        }
-        break;
-      }
-      case net::wire::kWriteReq: {
-        if (!store.apply_write(req.reg, req.ts, req.value)) {
-          // Classified so an operator can tell a full volume (free space,
-          // daemon recovers) from a dying device; NEITHER is acked.
-          std::fprintf(stderr, "replica %zu: WAL append failed (%s), dropping\n",
-                       id, abd::wal_error_name(store.wal->last_error()));
-          return;  // cannot ack what we couldn't persist
-        }
-        reply.type = net::wire::kWriteAck;
-        reply.ts = req.ts;
-        break;
-      }
-      case net::wire::kPing:
-        reply.type = net::wire::kPong;
-        break;
-      case net::wire::kConfirm:
-        store.apply_confirm(req.reg, req.ts);
-        continue;  // fire-and-forget: no reply frame
-      default:
-        continue;  // unknown type: ignore (forward compatibility)
+    std::optional<Frame> reply;
+    if (!replica.handle(req, &reply)) {
+      // Classified so an operator can tell a full volume (free space,
+      // daemon recovers) from a dying device; NEITHER is acked.
+      std::fprintf(stderr, "replica %zu: WAL append failed (%s), dropping\n",
+                   id, abd::wal_error_name(replica.wal->last_error()));
+      return;
     }
-    if (!net::send_frame(conn, reply)) return;
+    if (!reply.has_value()) continue;  // CONFIRM or unknown: no reply
+    reply->from = id;
+    if (!net::send_frame(conn, *reply)) return;
   }
 }
 
@@ -199,11 +131,11 @@ void serve_connection(std::size_t id, Store& store, net::Socket conn) {
 /// toward the majority, as in AbdCluster::recover) and adopt anything
 /// newer. Restores full f-tolerance after a restart; correctness never
 /// depended on it (see file header). Uses try_query — a query with NO
-/// write-back — and installs through apply_write, which deliberately does
-/// not touch Store::confirmed: a resync read skipping write-back has not
-/// stabilized anything, so the restarted replica must keep answering reads
-/// without kFlagTsConfirmed until a live writer/reader confirms again.
-void resync(std::size_t id, const Args& args, Store& store) {
+/// write-back — and installs through the write path, which never touches
+/// the confirmed ts: a resync read skipping write-back has not stabilized
+/// anything, so the restarted replica must keep answering reads without
+/// kFlagTsConfirmed until a live writer/reader confirms again.
+void resync(std::size_t id, const Args& args, Replica& replica) {
   abd::AbdConfig config;
   config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::seconds(2));
@@ -218,7 +150,12 @@ void resync(std::size_t id, const Args& args, Store& store) {
         std::this_thread::sleep_for(100ms);
         continue;
       }
-      if (got->ts > 0) store.apply_write(reg, got->ts, got->value);
+      const Frame install{.type = net::wire::kWriteReq,
+                          .reg = reg,
+                          .ts = got->ts,
+                          .value = got->value};
+      std::optional<Frame> ack;
+      (void)replica.handle(install, &ack);
       ++synced;
       break;
     }
@@ -228,8 +165,14 @@ void resync(std::size_t id, const Args& args, Store& store) {
   std::fflush(stdout);
 }
 
+/// A connection handler. Finished ones are joined by the accept loop: an
+/// exited thread that is never joined keeps its stack mapped.
+struct Handler {
+  std::atomic<bool> done{false};
+  std::thread thread;
+};
+
 int run(const Args& args) {
-  Store store;
   std::string error;
   // Per-id subdirectory: replicas sharing one --state-dir must never share
   // a WAL (merged state would fake quorum durability).
@@ -242,21 +185,23 @@ int run(const Args& args) {
                  ec.message().c_str());
     return 1;
   }
-  store.wal =
-      abd::ReplicaWal::open(dir + "/wal.log", &store.state, args.fsync, &error);
-  if (store.wal == nullptr) {
+  abd::WalState state;
+  auto wal = abd::ReplicaWal::open(dir + "/wal.log", &state, &error);
+  if (wal == nullptr) {
     std::fprintf(stderr, "abd_replicad: %s\n", error.c_str());
     return 1;
   }
   // New incarnation, made durable BEFORE any reply can carry it.
-  store.epoch = store.state.epoch + 1;
-  store.state.epoch = store.epoch;
-  if (!store.wal->append_epoch(store.epoch)) {
+  ++state.epoch;
+  if (!wal->append_epoch(state.epoch)) {
     std::fprintf(stderr, "abd_replicad: cannot persist epoch\n");
     return 1;
   }
   // Bound log growth across crash/restart cycles.
-  store.wal->compact(store.state);
+  wal->compact(state);
+  const std::uint64_t epoch = state.epoch;
+  Replica replica{{}, abd::ReplicaCore<net::wire::Bytes>(std::move(state)),
+                  std::move(wal)};
 
   net::Listener listener = net::Listener::open(args.peers[args.id], &error);
   if (!listener.valid()) {
@@ -265,25 +210,32 @@ int run(const Args& args) {
   }
   std::printf("READY port=%u epoch=%llu\n",
               static_cast<unsigned>(listener.bound_port()),
-              static_cast<unsigned long long>(store.epoch));
+              static_cast<unsigned long long>(epoch));
   std::fflush(stdout);
 
-  std::vector<std::thread> handlers;
-  std::thread resyncer;
-  if (args.resync) {
-    resyncer = std::thread([&] { resync(args.id, args, store); });
-  }
+  std::thread resyncer([&] { resync(args.id, args, replica); });
+  std::list<Handler> handlers;
   while (!g_stop.load(std::memory_order_acquire)) {
+    for (auto it = handlers.begin(); it != handlers.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = handlers.erase(it);
+    }
     auto conn = listener.accept(250ms);
     if (!conn.has_value()) continue;
-    handlers.emplace_back([&store, id = args.id,
-                           sock = std::move(*conn)]() mutable {
-      serve_connection(id, store, std::move(sock));
+    Handler& handler = handlers.emplace_back();
+    handler.thread = std::thread([&replica, &handler, id = args.id,
+                                  sock = std::move(*conn)]() mutable {
+      serve_connection(id, replica, std::move(sock));
+      handler.done.store(true, std::memory_order_release);
     });
   }
   listener.close();
-  for (auto& t : handlers) t.join();
-  if (resyncer.joinable()) resyncer.join();
+  for (auto& handler : handlers) handler.thread.join();
+  resyncer.join();
   return 0;
 }
 
@@ -297,12 +249,10 @@ int main(int argc, char** argv) {
   const char* peers = asnap::flag_value(argc, argv, "--peers");
   const char* state_dir = asnap::flag_value(argc, argv, "--state-dir");
   const char* regs = asnap::flag_value(argc, argv, "--regs");
-  args.fsync = !asnap::consume_bool(argc, argv, "--no-fsync");
-  args.resync = !asnap::consume_bool(argc, argv, "--no-resync");
   if (id == nullptr || peers == nullptr || state_dir == nullptr) {
     std::fprintf(stderr,
                  "usage: abd_replicad --id I --peers host:port,... "
-                 "--state-dir DIR [--regs N] [--no-fsync] [--no-resync]\n");
+                 "--state-dir DIR [--regs N]\n");
     return 2;
   }
   args.id = std::strtoull(id, nullptr, 10);

@@ -24,6 +24,7 @@
 
 #include "abd/abd_snapshot.hpp"
 #include "bench_util.hpp"
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "lin/history.hpp"
 #include "lin/snapshot_checker.hpp"
@@ -229,7 +230,7 @@ void print_fastread_json(bool fast, double read_ratio, double drop,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace_path = bench::consume_flag(argc, argv, "--trace");
+  const std::string trace_path = consume_flag(argc, argv, "--trace");
   trace::Session trace_session(trace_path);
 
   std::printf("%4s %8s %14s %12s %14s %12s\n", "n", "crashed",

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "mvcc/urcu_baseline.hpp"
 #include "mvcc/version_gate.hpp"
@@ -180,15 +181,15 @@ bool engine_enabled(const std::vector<std::string>& filter, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace_path = bench::consume_flag(argc, argv, "--trace");
+  const std::string trace_path = consume_flag(argc, argv, "--trace");
   const double secs =
-      std::atof(bench::consume_flag(argc, argv, "--seconds", "0.3").c_str());
+      std::atof(consume_flag(argc, argv, "--seconds", "0.3").c_str());
   const std::string threads_csv =
-      bench::consume_flag(argc, argv, "--threads", "1,4,16,64");
+      consume_flag(argc, argv, "--threads", "1,4,16,64");
   const std::string ratios_csv =
-      bench::consume_flag(argc, argv, "--ratios", "0.5,0.9,0.99");
+      consume_flag(argc, argv, "--ratios", "0.5,0.9,0.99");
   const std::string engines_csv =
-      bench::consume_flag(argc, argv, "--engines", "");
+      consume_flag(argc, argv, "--engines", "");
   if (secs <= 0) {
     std::fprintf(stderr, "bad --seconds value\n");
     return 2;

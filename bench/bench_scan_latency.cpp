@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/flags.hpp"
 #include "core/snapshot.hpp"
 #include "trace/exporter.hpp"
 
@@ -69,9 +70,9 @@ int main(int argc, char** argv) {
   constexpr std::size_t kN = 8;
   constexpr std::size_t kBudget = 3 * kN;  // generous budget for baselines
 
-  const std::string trace_path = bench::consume_flag(argc, argv, "--trace");
+  const std::string trace_path = consume_flag(argc, argv, "--trace");
   const std::string samples_arg =
-      bench::consume_flag(argc, argv, "--samples", "2000");
+      consume_flag(argc, argv, "--samples", "2000");
   const int kSamples = std::atoi(samples_arg.c_str());
   if (kSamples <= 0) {
     std::fprintf(stderr, "bad --samples value: %s\n", samples_arg.c_str());

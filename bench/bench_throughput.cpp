@@ -13,6 +13,7 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "common/flags.hpp"
 #include "core/snapshot.hpp"
 #include "trace/exporter.hpp"
 
@@ -115,7 +116,7 @@ BENCHMARK(BM_Throughput_DoubleCollect)->Arg(10)->Arg(50)->Arg(90);
 
 int main(int argc, char** argv) {
   const std::string trace_path =
-      asnap::bench::consume_flag(argc, argv, "--trace");
+      asnap::consume_flag(argc, argv, "--trace");
   asnap::trace::Session trace_session(trace_path);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -115,25 +115,6 @@ class JsonWriter {
   std::string body_;
 };
 
-/// Pulls `--flag <value>` out of (argc, argv), compacting argv in place so
-/// downstream flag parsers (e.g. google-benchmark's) never see it. Returns
-/// the value, or `fallback` if the flag is absent.
-inline std::string consume_flag(int& argc, char** argv, std::string_view flag,
-                                std::string_view fallback = "") {
-  std::string value(fallback);
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i] && i + 1 < argc) {
-      value = argv[i + 1];
-      ++i;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return value;
-}
-
 /// Least-squares slope of log(y) against log(x): the measured complexity
 /// exponent of y(x) ~ x^slope.
 inline double fitted_exponent(const std::vector<double>& xs,

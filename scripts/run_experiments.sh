@@ -34,6 +34,17 @@ traced_bench() {
   esac
 }
 
+# A MUST-FAIL control: run it, echo its report, and fail unless the report
+# names the violation the control exists to produce. A nonzero exit alone
+# proves nothing: a usage or setup error exits nonzero too.
+must_catch() {
+  local pattern=$1 out
+  shift
+  out=$("$@" 2>&1) || true
+  printf '%s\n' "$out"
+  grep -Eq -- "$pattern" <<<"$out"
+}
+
 cmake -B build -G Ninja
 cmake --build build
 
@@ -171,8 +182,9 @@ grep '^JSON ' results/shard_loadgen.txt | sed 's/^JSON //' \
 # majority-safety, durability audit, liveness watchdog) and chaos_run exits
 # nonzero on any violation, so set -e makes every cell an acceptance gate.
 # The net+kill composition and the MUST-FAIL minority-split negative control
-# (`!` inverts its expected nonzero exit) close the loop: the checkers keep
-# their teeth when the network is the adversary. JSON lines land in
+# (must_catch: its report must name a liveness or durability violation)
+# close the loop: the checkers keep their teeth when the network is the
+# adversary. JSON lines land in
 # results/netchaos.jsonl.
 echo "== E14-netchaos: cluster under the seeded TCP fault proxy =="
 netchaos_trace_args=()
@@ -195,9 +207,11 @@ fi
   build/tools/chaos_run --scenario net+kill --seconds 3 --writers 2 \
     --seed 42 --crash-rate 1 --loss 0.05 --delay-ms 5 --jitter-ms 2 \
     --reorder 0.01 ${netchaos_trace_args[@]+"${netchaos_trace_args[@]}"}
-  # Negative control: a minority-only cluster must be CAUGHT (nonzero
-  # exit), proving the rails detect real partition-safety violations.
-  ! build/tools/chaos_run --scenario net-split --seconds 2 --writers 2 \
+  # Negative control: a minority-only cluster must be CAUGHT by the
+  # liveness watchdog or the durability audit, proving the rails detect
+  # real partition-safety violations.
+  must_catch '^    - (liveness|durability): ' \
+    build/tools/chaos_run --scenario net-split --seconds 2 --writers 2 \
     --seed 42
 } 2>&1 | tee results/netchaos.txt
 grep '^JSON ' results/netchaos.txt | sed 's/^JSON //' \
@@ -242,7 +256,7 @@ grep '^JSON ' results/mvcc.txt | sed 's/^JSON //' > results/mvcc.jsonl
 # run exits nonzero on any safety violation, so set -e gates on them), and
 # the MUST-FAIL negative control — the unconditional write-back skip under
 # a deterministic partition schedule — must be CAUGHT by the exact checker
-# (`!` inverts its expected nonzero exit).
+# (must_catch: its report must name a linearizability violation).
 echo "== E16-fastread: one-round fast reads =="
 {
   build/tools/chaos_run --scenario mixed --seconds 3 --seed 42 --fast off
@@ -259,7 +273,8 @@ echo "== E16-fastread: one-round fast reads =="
     build/tools/loadgen --backend abd --slots 3 --clients 6 --seconds 1 \
       --read-ratio "$ratio" --seed 42 --experiment E16-fastread --check
   done
-  ! build/tools/chaos_run --scenario broken-fastread --seed 42
+  must_catch '^    - linearizability: ' \
+    build/tools/chaos_run --scenario broken-fastread --seed 42
 } 2>&1 | tee results/fastread.txt
 {
   grep '^JSON ' results/fastread.txt | sed 's/^JSON //'

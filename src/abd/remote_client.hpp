@@ -51,6 +51,18 @@ class RemoteRegisterClient {
     std::uint64_t dup_replies = 0;
     std::uint64_t stale_epoch_replies = 0;
     std::uint64_t round_timeouts = 0;
+
+    /// Totals over several clients.
+    Stats& operator+=(const Stats& o) {
+      protocol_rounds += o.protocol_rounds;
+      fast_reads += o.fast_reads;
+      fast_fallbacks += o.fast_fallbacks;
+      retransmit_waves += o.retransmit_waves;
+      dup_replies += o.dup_replies;
+      stale_epoch_replies += o.stale_epoch_replies;
+      round_timeouts += o.round_timeouts;
+      return *this;
+    }
   };
 
   RemoteRegisterClient(std::vector<net::Endpoint> replicas,

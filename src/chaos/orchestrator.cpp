@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -12,7 +10,6 @@
 #include "abd/abd_snapshot.hpp"
 #include "common/rng.hpp"
 #include "lin/history.hpp"
-#include "lin/snapshot_checker.hpp"
 #include "trace/event.hpp"
 
 namespace asnap::chaos {
@@ -23,99 +20,12 @@ using Clock = std::chrono::steady_clock;
 using lin::Tag;
 using Snapshot = abd::MessagePassingSnapshot<Tag>;
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint64_t to_ns(Clock::duration d) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
-}
-
 std::chrono::microseconds uniform_between(Rng& rng,
                                           std::chrono::microseconds lo,
                                           std::chrono::microseconds hi) {
   if (hi <= lo) return lo;
   const auto span = static_cast<std::uint64_t>((hi - lo).count());
   return lo + std::chrono::microseconds(rng.below(span + 1));
-}
-
-/// Per-worker state. Atomics are the watchdog-facing surface; the rest is
-/// worker-private until the worker thread is joined.
-struct WorkerState {
-  std::atomic<std::uint64_t> op_start_ns{0};  ///< 0 = no op in flight
-  std::atomic<std::uint64_t> last_success_ns{0};
-  std::atomic<std::uint64_t> updates_ok{0};
-  std::atomic<std::uint64_t> scans_ok{0};
-  std::atomic<std::uint64_t> failed_update_attempts{0};
-  std::atomic<std::uint64_t> failed_scans{0};
-
-  bool has_pending = false;  ///< update unfinished at shutdown (indeterminate)
-  Tag pending_tag;
-  lin::Time pending_inv = 0;
-
-  trace::LogHistogram update_hist;
-  trace::LogHistogram scan_hist;
-};
-
-void worker_loop(Snapshot& snap, lin::Recorder& recorder, WorkerState& ws,
-                 ProcessId p, const OrchestratorOptions& opt,
-                 const std::atomic<bool>& stop) {
-  std::uint64_t seq = 0;
-  std::uint64_t op_count = 0;
-  while (!stop.load(std::memory_order_relaxed)) {
-    if (op_count++ % 2 == 0) {
-      // Update: retry the SAME tag until it lands. A timed-out attempt is
-      // indeterminate, so the logical operation's interval must span every
-      // attempt — one recorded op from the first invocation to the
-      // successful response.
-      const Tag tag{p, ++seq};
-      const lin::Time inv = recorder.tick();
-      const auto started = Clock::now();
-      ws.op_start_ns.store(now_ns(), std::memory_order_relaxed);
-      for (;;) {
-        if (snap.try_update(p, tag)) break;
-        ws.failed_update_attempts.fetch_add(1, std::memory_order_relaxed);
-        if (stop.load(std::memory_order_relaxed)) {
-          // Shutdown with the attempt unresolved: possibly applied.
-          ws.has_pending = true;
-          ws.pending_tag = tag;
-          ws.pending_inv = inv;
-          ws.op_start_ns.store(0, std::memory_order_relaxed);
-          return;
-        }
-        std::this_thread::sleep_for(opt.op_retry_pause);
-      }
-      const lin::Time res = recorder.tick();
-      recorder.add_update(p, p, tag, inv, res);
-      ws.update_hist.record(to_ns(Clock::now() - started));
-      ws.updates_ok.fetch_add(1, std::memory_order_relaxed);
-      ws.last_success_ns.store(now_ns(), std::memory_order_relaxed);
-      ws.op_start_ns.store(0, std::memory_order_relaxed);
-    } else {
-      // Scan: a failed scan observed nothing, so it is simply dropped.
-      const lin::Time inv = recorder.tick();
-      const auto started = Clock::now();
-      ws.op_start_ns.store(now_ns(), std::memory_order_relaxed);
-      std::optional<std::vector<Tag>> view = snap.try_scan(p);
-      if (view.has_value()) {
-        const lin::Time res = recorder.tick();
-        recorder.add_scan(p, std::move(*view), inv, res);
-        ws.scan_hist.record(to_ns(Clock::now() - started));
-        ws.scans_ok.fetch_add(1, std::memory_order_relaxed);
-        ws.last_success_ns.store(now_ns(), std::memory_order_relaxed);
-      } else {
-        ws.failed_scans.fetch_add(1, std::memory_order_relaxed);
-        ws.op_start_ns.store(0, std::memory_order_relaxed);
-        std::this_thread::sleep_for(opt.op_retry_pause);
-        continue;
-      }
-      ws.op_start_ns.store(0, std::memory_order_relaxed);
-    }
-  }
 }
 
 }  // namespace
@@ -281,12 +191,7 @@ RunReport run(const OrchestratorOptions& opt) {
   }
 
   lin::Recorder recorder(n);
-  std::vector<std::unique_ptr<WorkerState>> workers_state;
-  for (std::size_t p = 0; p < n; ++p) {
-    workers_state.push_back(std::make_unique<WorkerState>());
-    workers_state.back()->last_success_ns.store(now_ns(),
-                                                std::memory_order_relaxed);
-  }
+  std::vector<WorkerState> workers_state(n);
   std::atomic<bool> stop{false};
 
   // How many nodes are currently usable (alive and in the main partition
@@ -374,8 +279,9 @@ RunReport run(const OrchestratorOptions& opt) {
     std::vector<std::jthread> workers;
     for (std::size_t p = 0; p < n; ++p) {
       workers.emplace_back([&, p] {
-        worker_loop(snap, recorder, *workers_state[p],
-                    static_cast<ProcessId>(p), opt, stop);
+        worker_loop(snap, recorder, workers_state[p],
+                    static_cast<ProcessId>(p), opt.op_retry_pause,
+                    std::chrono::microseconds(0), stop);
       });
     }
 
@@ -413,7 +319,7 @@ RunReport run(const OrchestratorOptions& opt) {
             continue;
           }
           if (flagged[p]) continue;
-          const WorkerState& ws = *workers_state[p];
+          const WorkerState& ws = workers_state[p];
           const std::uint64_t started =
               ws.op_start_ns.load(std::memory_order_relaxed);
           if (started != 0 &&
@@ -471,34 +377,7 @@ RunReport run(const OrchestratorOptions& opt) {
     stop.store(true, std::memory_order_relaxed);
   }  // workers join
 
-  // Updates unfinished at shutdown are indeterminate: possibly applied any
-  // time up to now, so their interval extends to a final clock tick taken
-  // after every worker stopped.
-  const lin::Time final_tick = recorder.tick();
-  for (std::size_t p = 0; p < n; ++p) {
-    WorkerState& ws = *workers_state[p];
-    if (!ws.has_pending) continue;
-    recorder.add_update(static_cast<ProcessId>(p), p, ws.pending_tag,
-                        ws.pending_inv, final_tick);
-    ++report.indeterminate_updates;
-  }
-
-  const lin::History history = recorder.take();
-  report.history_ops = history.total_ops();
-  if (const auto violation = lin::check_single_writer(history)) {
-    add_violation("linearizability: " + *violation);
-  }
-
-  for (std::size_t p = 0; p < n; ++p) {
-    const WorkerState& ws = *workers_state[p];
-    report.updates_ok += ws.updates_ok.load(std::memory_order_relaxed);
-    report.scans_ok += ws.scans_ok.load(std::memory_order_relaxed);
-    report.failed_update_attempts +=
-        ws.failed_update_attempts.load(std::memory_order_relaxed);
-    report.failed_scans += ws.failed_scans.load(std::memory_order_relaxed);
-    report.update_latency_ns.merge(ws.update_hist);
-    report.scan_latency_ns.merge(ws.scan_hist);
-  }
+  finish(recorder, workers_state, report);
   if (const net::FailureDetector* fd = snap.detector()) {
     report.suspicions = fd->suspicions();
     report.trusts = fd->trusts();

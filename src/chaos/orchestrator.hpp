@@ -8,16 +8,10 @@
 // self-healing layer (failure detector, circuit breaker, supervisor)
 // repairs the damage. Three verdicts come out:
 //
-//   * SAFETY — every completed operation is recorded in a lin::Recorder
-//     history and the run ends with the exact single-writer linearizability
-//     check. Timed-out updates are INDETERMINATE (the value may have
-//     reached a majority); workers therefore retry the same tag until it
-//     succeeds — sound because the retried write is idempotent at equal
-//     tags and tag visibility is monotone (the read write-back) — and an
-//     update still unfinished at shutdown is recorded with its response at
-//     the final clock tick, i.e. "possibly took effect any time up to the
-//     end" (the Jepsen :info convention). Failed scans observed nothing and
-//     are dropped.
+//   * SAFETY — the workers and the closing check are workload.hpp's:
+//     every completed operation is recorded, timed-out updates are retried
+//     with the same tag, an update unfinished at shutdown is indeterminate,
+//     and the run ends with the exact single-writer linearizability check.
 //   * LIVENESS — a watchdog flags any worker whose node has been healthy
 //     (alive, not isolated by the current partition, majority available)
 //     for a full stall window yet still has an operation blocked or has
@@ -36,8 +30,8 @@
 #include "abd/abd_register.hpp"
 #include "abd/supervisor.hpp"
 #include "chaos/schedule.hpp"
+#include "chaos/workload.hpp"
 #include "net/failure_detector.hpp"
-#include "trace/histogram.hpp"
 
 namespace asnap::chaos {
 
@@ -87,24 +81,7 @@ struct OrchestratorOptions {
   std::chrono::microseconds quiesce_tail{std::chrono::milliseconds(100)};
 };
 
-struct RunReport {
-  /// Safety violations and liveness flags; empty means the run passed.
-  std::vector<std::string> violations;
-  bool ok() const { return violations.empty(); }
-
-  // Workload outcome.
-  std::uint64_t updates_ok = 0;
-  std::uint64_t scans_ok = 0;
-  std::uint64_t failed_update_attempts = 0;
-  std::uint64_t failed_scans = 0;
-  std::uint64_t indeterminate_updates = 0;  ///< unfinished at shutdown
-  std::size_t history_ops = 0;
-
-  // Per-operation wall latency of SUCCESSFUL ops, nanoseconds; an update's
-  // latency spans all retries of its tag (availability view, not raw RTT).
-  trace::LogHistogram update_latency_ns;
-  trace::LogHistogram scan_latency_ns;
-
+struct RunReport : WorkloadReport {
   // Self-healing telemetry.
   std::uint64_t crashes_injected = 0;
   std::uint64_t partitions_injected = 0;

@@ -114,9 +114,22 @@ bool ChaosProxy::start(std::string* error) {
     return true;
   }
   endpoints_.clear();
+  // An upstream port probed free for a replica that has not bound it yet
+  // is free to the kernel too, and a listener there locks the replica out.
+  // Such ports are skipped, and held until start() returns so the kernel
+  // cannot hand them straight back.
+  const auto upstream_port = [&](std::uint16_t port) {
+    return std::any_of(upstreams_.begin(), upstreams_.end(),
+                       [port](const Endpoint& e) { return e.port == port; });
+  };
+  std::vector<Listener> skipped;
   for (std::size_t i = 0; i < links_.size(); ++i) {
     LinkState& ls = *links_[i];
     ls.listener = Listener::open({"127.0.0.1", 0}, error);
+    while (ls.listener.valid() && upstream_port(ls.listener.bound_port())) {
+      skipped.push_back(std::move(ls.listener));
+      ls.listener = Listener::open({"127.0.0.1", 0}, error);
+    }
     if (!ls.listener.valid()) {
       stop();
       return false;

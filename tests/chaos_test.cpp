@@ -1,16 +1,19 @@
-// Self-healing layer and chaos orchestrator suite (PR 3).
+// Self-healing layer and chaos orchestrator suite.
 //
 // Covers the pieces individually — failure detector verdicts, supervised
-// auto-recovery, circuit-breaker fail-fast, incarnation epochs — and then
-// end-to-end: a seeded chaos run must finish with zero safety violations
-// and zero liveness flags, while the sabotaged negative control (a breaker
-// allowed to shrink quorums below a majority) MUST be caught by the
-// linearizability checker. Everything is seeded; a failure replays.
+// auto-recovery, circuit-breaker fail-fast, incarnation epochs, the shared
+// chaos workload's recording rules against a scripted fake snapshot — and
+// then end-to-end: a seeded chaos run must finish with zero safety
+// violations and zero liveness flags, while the sabotaged negative control
+// (a breaker allowed to shrink quorums below a majority) MUST be caught by
+// the linearizability checker. Everything is seeded; a failure replays.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "abd/abd_snapshot.hpp"
 #include "chaos/orchestrator.hpp"
 #include "chaos/schedule.hpp"
+#include "chaos/workload.hpp"
 #include "lin/history.hpp"
 #include "net/failure_detector.hpp"
 #include "net/network.hpp"
@@ -227,6 +231,133 @@ TEST(Epochs, EachRecoveryBumpsTheNodeEpoch) {
   // A no-op recover of the live node must NOT mint a new incarnation.
   ASSERT_TRUE(cluster.recover(2));
   EXPECT_EQ(cluster.epoch(2), 2u);
+}
+
+// --- shared workload (chaos/workload.hpp) -----------------------------------
+
+/// A scripted snapshot: each test says what an update attempt and a scan
+/// return, and sets `stop` to end the worker.
+struct FakeOps {
+  std::function<bool(Tag)> update;
+  std::function<std::optional<std::vector<Tag>>()> scan;
+
+  bool try_update(ProcessId, Tag tag) { return update(tag); }
+  std::optional<std::vector<Tag>> try_scan(ProcessId) { return scan(); }
+};
+
+/// Worker 0 of a one-word workload, run to its stop in the test thread.
+class ChaosWorkload : public ::testing::Test {
+ protected:
+  void run_worker() {
+    chaos::worker_loop(ops, recorder, workers[0], 0, 0us, 0us, stop);
+  }
+  lin::History finish() { return chaos::finish(recorder, workers, report); }
+
+  FakeOps ops;
+  lin::Recorder recorder{1};
+  std::atomic<bool> stop{false};
+  std::vector<chaos::WorkerState> workers = std::vector<chaos::WorkerState>(1);
+  chaos::WorkloadReport report;
+};
+
+TEST_F(ChaosWorkload, RetriedUpdateIsOneOperationSpanningEveryAttempt) {
+  std::vector<lin::Time> attempts;  // a clock tick inside each attempt
+  ops.update = [&](Tag) {
+    attempts.push_back(recorder.tick());
+    return attempts.size() > 3;
+  };
+  ops.scan = [&]() -> std::optional<std::vector<Tag>> {
+    stop = true;
+    return std::vector<Tag>{Tag{0, 1}};
+  };
+  run_worker();
+  const lin::History history = finish();
+
+  ASSERT_EQ(history.updates.size(), 1u) << "retries are one logical update";
+  EXPECT_EQ(history.updates[0].tag, (Tag{0, 1})) << "retried with the same tag";
+  EXPECT_LT(history.updates[0].inv, attempts.front());
+  EXPECT_GT(history.updates[0].res, attempts.back());
+  EXPECT_EQ(report.failed_update_attempts, 3u);
+  EXPECT_EQ(report.updates_ok, 1u);
+  EXPECT_TRUE(report.ok());
+}
+
+TEST_F(ChaosWorkload, UpdateUnfinishedAtStopIsIndeterminateUntilFinalTick) {
+  int attempts = 0;
+  ops.update = [&](Tag) {
+    if (++attempts == 5) stop = true;
+    return false;
+  };
+  ops.scan = []() -> std::optional<std::vector<Tag>> {
+    ADD_FAILURE() << "no scan after an update that never landed";
+    return std::nullopt;
+  };
+  run_worker();
+  const lin::Time before_finish = recorder.tick();
+  const lin::History history = finish();
+  const lin::Time after_finish = recorder.tick();
+
+  ASSERT_EQ(history.updates.size(), 1u);
+  EXPECT_EQ(history.updates[0].tag, (Tag{0, 1}));
+  EXPECT_GT(history.updates[0].res, before_finish)
+      << "an indeterminate update may have landed up to finish()'s tick";
+  EXPECT_LT(history.updates[0].res, after_finish);
+  EXPECT_EQ(report.indeterminate_updates, 1u);
+  EXPECT_EQ(report.updates_ok, 0u);
+  EXPECT_EQ(report.failed_update_attempts, 5u);
+  EXPECT_TRUE(report.ok());
+}
+
+TEST_F(ChaosWorkload, FailedScanIsCountedAndAbsentFromTheHistory) {
+  ops.update = [](Tag) { return true; };
+  ops.scan = [&]() -> std::optional<std::vector<Tag>> {
+    stop = true;
+    return std::nullopt;
+  };
+  run_worker();
+  const lin::History history = finish();
+
+  EXPECT_TRUE(history.scans.empty()) << "a failed scan observed nothing";
+  EXPECT_EQ(history.updates.size(), 1u);
+  EXPECT_EQ(report.failed_scans, 1u);
+  EXPECT_EQ(report.scans_ok, 0u);
+  EXPECT_EQ(report.history_ops, 1u);
+}
+
+TEST_F(ChaosWorkload, UpdatesOkIsTheSeqOfTheLastAcknowledgedUpdate) {
+  int attempts = 0;
+  Tag acked{};
+  ops.update = [&](Tag tag) {
+    if (++attempts % 2 == 1) return false;  // every update needs a retry
+    acked = tag;
+    return true;
+  };
+  ops.scan = [&]() -> std::optional<std::vector<Tag>> {
+    if (acked.seq == 4) stop = true;
+    return std::vector<Tag>{acked};
+  };
+  run_worker();
+
+  EXPECT_EQ(acked.seq, 4u);
+  EXPECT_EQ(workers[0].updates_ok.load(), acked.seq);
+  finish();
+  EXPECT_EQ(report.updates_ok, 4u);
+  EXPECT_EQ(report.failed_update_attempts, 4u);
+  EXPECT_TRUE(report.ok());
+}
+
+TEST_F(ChaosWorkload, StaleScanAfterCompletedUpdateIsALinearizabilityViolation) {
+  ops.update = [](Tag) { return true; };
+  ops.scan = [&]() -> std::optional<std::vector<Tag>> {
+    stop = true;
+    return std::vector<Tag>{Tag{}};  // the initial value, after Tag{0,1}
+  };
+  run_worker();
+  finish();
+
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].rfind("linearizability: ", 0), 0u)
+      << report.violations[0];
 }
 
 // --- orchestrator ------------------------------------------------------------

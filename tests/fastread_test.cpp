@@ -24,6 +24,7 @@
 
 #include "abd/abd_register.hpp"
 #include "abd/abd_snapshot.hpp"
+#include "chaos/fastread_inversion.hpp"
 #include "lin/history.hpp"
 #include "lin/snapshot_checker.hpp"
 
@@ -95,79 +96,18 @@ TEST(FastRead, ConfirmBroadcastReachesEveryReplica) {
 
 // --- the fallback boundary, deterministically --------------------------------
 
-/// The four-step schedule shared by the boundary test and the mutant test
-/// (see tools/chaos_run.cpp run_broken_fastread for the prose version):
-/// write A completes everywhere, write B times out reaching only replica 0,
-/// reader at node 1 sees quorum {0,1} disagree on B, reader at node 2 sees
-/// quorum {1,2}. With the real stability rule reader 1 falls back and its
-/// write-back makes reader 2 return B; with the mutant both reads skip the
-/// write-back and reader 2 returns the OLD A after reader 1 returned B.
-struct ScheduleResult {
-  std::optional<lin::CheckResult> violation;  // nullopt = setup failed
-  std::uint64_t fast_reads = 0;
-  std::uint64_t fast_fallbacks = 0;
-  Tag read1{};
-  Tag read2{};
-};
-
-ScheduleResult run_inversion_schedule(const AbdConfig& config) {
-  AbdCluster<Tag> cluster(3, 1, Tag{}, /*seed=*/5, config);
-  lin::Recorder recorder(1);
-  ScheduleResult out;
-
-  {  // write A = Tag{0,1}: completes, confirm broadcast follows.
-    const lin::Time inv = recorder.tick();
-    if (cluster.try_write(0, 0, Tag{0, 1}) != OpStatus::kOk) return out;
-    const lin::Time res = recorder.tick();
-    recorder.add_update(0, 0, Tag{0, 1}, inv, res);
-  }
-
-  // Write B = Tag{0,2}: the writer is cut off from 1 and 2, so B reaches
-  // only replica 0 and the round times out — indeterminate, unconfirmed.
-  cluster.cut_link(0, 1);
-  cluster.cut_link(0, 2);
-  const lin::Time b_inv = recorder.tick();
-  if (cluster.try_write(0, 0, Tag{0, 2}) == OpStatus::kOk) return out;
-
-  // Reader at node 1, quorum {0,1}: sees {ts=2, ts=1} — disagreement.
-  cluster.restore_link(0, 1);
-  cluster.restore_link(0, 2);
-  cluster.cut_link(1, 2);
-  {
-    const lin::Time inv = recorder.tick();
-    const auto got = cluster.try_read(0, 1);
-    const lin::Time res = recorder.tick();
-    if (!got.has_value()) return out;
-    out.read1 = *got;
-    recorder.add_scan(1, {*got}, inv, res);
-  }
-
-  // Reader at node 2, quorum {1,2} (links to 0 cut).
-  cluster.restore_link(1, 2);
-  cluster.cut_link(0, 1);
-  cluster.cut_link(0, 2);
-  {
-    const lin::Time inv = recorder.tick();
-    const auto got = cluster.try_read(0, 2);
-    const lin::Time res = recorder.tick();
-    if (!got.has_value()) return out;
-    out.read2 = *got;
-    recorder.add_scan(2, {*got}, inv, res);
-  }
-
-  // B is indeterminate: possibly applied any time up to now.
-  recorder.add_update(0, 0, Tag{0, 2}, b_inv, recorder.tick());
-
-  out.fast_reads = cluster.fast_reads();
-  out.fast_fallbacks = cluster.fast_fallbacks();
-  out.violation = lin::check_single_writer(recorder.take());
-  return out;
-}
+// The four-step schedule is chaos::run_fastread_inversion, which chaos_run's
+// broken-fastread scenario runs too. With the real stability rule reader 1
+// falls back and its write-back makes reader 2 return B; with the mutant
+// both reads skip the write-back and reader 2 returns the OLD A after
+// reader 1 returned B.
 
 TEST(FastRead, ConcurrentStalledWriteForcesFallbackAndStaysLinearizable) {
-  const ScheduleResult r = run_inversion_schedule(fast_config());
-  ASSERT_TRUE(r.violation.has_value()) << "schedule setup failed";
-  EXPECT_FALSE(r.violation->has_value()) << **r.violation;
+  const chaos::FastReadInversion r =
+      chaos::run_fastread_inversion(fast_config(), /*seed=*/5);
+  ASSERT_FALSE(r.setup_error.has_value())
+      << "schedule setup failed: " << *r.setup_error;
+  EXPECT_FALSE(r.violation.has_value()) << *r.violation;
   EXPECT_GE(r.fast_fallbacks, 1u)
       << "the disagreeing quorum must have taken the slow path";
   // Reader 1's fallback wrote B back to {0,1}; reader 2 therefore sees B
@@ -182,12 +122,14 @@ TEST(FastRead, ConcurrentStalledWriteForcesFallbackAndStaysLinearizable) {
 TEST(FastRead, UnconditionalSkipMutantIsRejectedByChecker) {
   AbdConfig config = fast_config();
   config.unsafe_always_fast_read = true;
-  const ScheduleResult r = run_inversion_schedule(config);
-  ASSERT_TRUE(r.violation.has_value()) << "schedule setup failed";
+  const chaos::FastReadInversion r =
+      chaos::run_fastread_inversion(config, /*seed=*/5);
+  ASSERT_FALSE(r.setup_error.has_value())
+      << "schedule setup failed: " << *r.setup_error;
   // The mutant fast-returns both reads: B first, then the resurrected A.
   EXPECT_EQ(r.read1, (Tag{0, 2}));
   EXPECT_EQ(r.read2, (Tag{0, 1}));
-  EXPECT_TRUE(r.violation->has_value())
+  EXPECT_TRUE(r.violation.has_value())
       << "checker FAILED to reject the unconditional write-back skip — "
          "the fast-read safety net is gone";
   EXPECT_EQ(r.fast_reads, 2u);

@@ -26,6 +26,7 @@
 //
 // Usage:
 //   abd_replicad --id I --peers host:port,... --state-dir DIR [--regs N]
+// Unknown arguments are rejected (exit 2).
 // `--peers` lists ALL replica endpoints in id order; the daemon listens on
 // entry I. State lives in DIR/replica-I/ (derived from --id, so replicas of
 // one cluster may share a --state-dir without sharing a WAL). Prints
@@ -36,7 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <list>
 #include <memory>
@@ -49,6 +49,7 @@
 #include "abd/core.hpp"
 #include "abd/remote_client.hpp"
 #include "abd/wal.hpp"
+#include "common/flags.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 
@@ -68,18 +69,6 @@ struct Args {
   std::string state_dir;
   std::uint64_t regs = 16;
 };
-
-const char* flag_value(int& argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      const char* v = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      return v;
-    }
-  }
-  return nullptr;
-}
 
 /// The replica shared by connection handlers and the resync thread. One
 /// mutex covers core + WAL so compaction can't race appends.
@@ -244,20 +233,21 @@ int run(const Args& args) {
 
 int main(int argc, char** argv) {
   using asnap::Args;
+  using asnap::consume_flag;
   Args args;
-  const char* id = asnap::flag_value(argc, argv, "--id");
-  const char* peers = asnap::flag_value(argc, argv, "--peers");
-  const char* state_dir = asnap::flag_value(argc, argv, "--state-dir");
-  const char* regs = asnap::flag_value(argc, argv, "--regs");
-  if (id == nullptr || peers == nullptr || state_dir == nullptr) {
+  const std::string id = consume_flag(argc, argv, "--id");
+  const std::string peers = consume_flag(argc, argv, "--peers");
+  args.state_dir = consume_flag(argc, argv, "--state-dir");
+  const std::string regs = consume_flag(argc, argv, "--regs");
+  if (!asnap::no_unknown_args(argc, argv, "abd_replicad") || id.empty() ||
+      peers.empty() || args.state_dir.empty()) {
     std::fprintf(stderr,
                  "usage: abd_replicad --id I --peers host:port,... "
                  "--state-dir DIR [--regs N]\n");
     return 2;
   }
-  args.id = std::strtoull(id, nullptr, 10);
-  args.state_dir = state_dir;
-  if (regs != nullptr) args.regs = std::strtoull(regs, nullptr, 10);
+  args.id = std::strtoull(id.c_str(), nullptr, 10);
+  if (!regs.empty()) args.regs = std::strtoull(regs.c_str(), nullptr, 10);
   const auto parsed = asnap::net::parse_endpoints(peers);
   if (!parsed.has_value() || args.id >= parsed->size()) {
     std::fprintf(stderr, "abd_replicad: bad --peers/--id\n");

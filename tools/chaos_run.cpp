@@ -3,6 +3,10 @@
 // violation or liveness flag, so CI and scripts/run_experiments.sh can gate
 // on it directly.
 //
+// Every scenario that runs a workload runs chaos/workload.hpp's: the same
+// worker loop and the same closing linearizability check, in process or
+// against real daemons. Only the adversary differs per scenario.
+//
 // Scenarios:
 //   mixed           crash/recover + partition/heal + message loss against a
 //                   self-healing cluster (the acceptance scenario).
@@ -11,38 +15,40 @@
 //   broken-breaker  NEGATIVE control: the unsafe_shrink_quorum misfeature
 //                   lets an isolated node "commit" without a majority; the
 //                   linearizability checker must catch it, so this scenario
-//                   is expected to FAIL (ctest wraps it in WILL_FAIL).
+//                   is expected to FAIL (ctest passes it only on a
+//                   `linearizability:` violation).
 //   broken-fastread NEGATIVE control: unsafe_always_fast_read skips the
 //                   read write-back unconditionally (the exact mutant the
-//                   fast-read stability evidence exists to prevent). A
-//                   deterministic partition schedule around a timed-out
-//                   write produces a new/old read inversion that
-//                   check_single_writer must reject, so this scenario is
-//                   expected to FAIL (ctest wraps it in WILL_FAIL).
+//                   fast-read stability evidence exists to prevent).
+//                   chaos/fastread_inversion.hpp's deterministic partition
+//                   schedule around a timed-out write produces a new/old
+//                   read inversion that check_single_writer must reject, so
+//                   this scenario is expected to FAIL the same way.
 //   real            REAL PROCESSES: spawn --nodes abd_replicad daemons on
-//                   127.0.0.1 sockets, run a checked workload through
-//                   abd::RemoteRegisterClient while injecting kill -9 and
+//                   127.0.0.1 sockets, run the checked workload through
+//                   abd::RemoteSnapshot while injecting kill -9 and
 //                   SIGSTOP faults on the live PIDs (majority-safe, seeded),
 //                   restart victims via the process supervisor, then audit
 //                   durability (every acked write still readable) and run
-//                   the exact linearizability checker. ISSUE 6's acceptance
-//                   scenario; also aliased as `--real`.
+//                   the exact linearizability checker.
 //   net             the real cluster behind a net::ChaosProxy: ambient
 //                   seeded loss/delay/jitter/reorder on every client<->
 //                   replica link plus bounded bursts of asymmetric
 //                   blackholes, link flaps, mid-frame stalls, bandwidth
 //                   throttling and connection resets — all majority-safe.
-//                   Ends with heal + liveness watchdog (operations must
-//                   complete once the network is perfect again), the
-//                   durability audit and the exact linearizability check.
+//                   Ends with heal + liveness watchdog (every worker must
+//                   complete an operation once the network is perfect
+//                   again), the durability audit and the exact
+//                   linearizability check.
 //   net+kill        `net` composed with the kill -9 / SIGSTOP injector:
 //                   wire faults and process faults under one shared
 //                   majority rail.
 //   net-split       NEGATIVE control: minority-only connectivity (a
 //                   majority of links blackholed both ways) held for the
 //                   whole run with the safety rail off and no heal. The
-//                   liveness watchdog and durability audit must flag it,
-//                   so ctest wraps it in WILL_FAIL.
+//                   liveness watchdog and durability audit must flag it
+//                   (ctest passes it only on a `liveness:` or `durability:`
+//                   violation).
 //
 // Usage:
 //   chaos_run [--scenario mixed|breaker-ab|broken-breaker|broken-fastread|
@@ -57,31 +63,34 @@
 //   net-scenario extras:
 //             [--delay-ms D] [--jitter-ms J] [--reorder P]
 //             [--partition on|off]  (include blackhole/flap bursts)
+// Unknown arguments are rejected (exit 2).
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "abd/remote_client.hpp"
+#include "abd/remote_snapshot.hpp"
 #include "bench_util.hpp"
+#include "chaos/fastread_inversion.hpp"
 #include "chaos/orchestrator.hpp"
 #include "chaos/process_orchestrator.hpp"
-#include "net/chaos_proxy.hpp"
 #include "chaos/schedule.hpp"
+#include "chaos/workload.hpp"
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "lin/history.hpp"
-#include "lin/snapshot_checker.hpp"
+#include "net/chaos_proxy.hpp"
 #include "net/socket.hpp"
 #include "trace/exporter.hpp"
-#include "trace/histogram.hpp"
 
 #ifndef ASNAP_REPLICAD_PATH
 #define ASNAP_REPLICAD_PATH ""
@@ -136,8 +145,9 @@ enum class NetMode {
   kSplit,  ///< --scenario net-split: negative control, rail off, no heal
 };
 
-void print_report(const std::string& label, const chaos::RunReport& r) {
-  std::printf("== %s ==\n", label.c_str());
+// --- report parts shared by every scenario -----------------------------------
+
+void print_workload(const chaos::WorkloadReport& r) {
   std::printf(
       "  workload    : %llu updates, %llu scans ok; %llu failed update "
       "attempts, %llu failed scans, %llu indeterminate (history %zu ops)\n",
@@ -145,6 +155,74 @@ void print_report(const std::string& label, const chaos::RunReport& r) {
       (unsigned long long)r.failed_update_attempts,
       (unsigned long long)r.failed_scans,
       (unsigned long long)r.indeterminate_updates, r.history_ops);
+}
+
+void print_rounds(std::uint64_t rounds, std::uint64_t fast_reads,
+                  std::uint64_t fast_fallbacks) {
+  std::printf(
+      "  rounds      : %llu protocol rounds, %llu fast reads, %llu fast "
+      "fallbacks\n",
+      (unsigned long long)rounds, (unsigned long long)fast_reads,
+      (unsigned long long)fast_fallbacks);
+}
+
+void print_verdict(const std::vector<std::string>& violations) {
+  if (violations.empty()) {
+    std::printf("  verdict     : PASS (no violations)\n");
+    return;
+  }
+  std::printf("  verdict     : FAIL (%zu violation(s))\n", violations.size());
+  for (const std::string& v : violations) std::printf("    - %s\n", v.c_str());
+}
+
+void print_latency_and_verdict(const chaos::WorkloadReport& r) {
+  std::printf(
+      "  latency     : update p50 %.1f us p99 %.1f us | scan p50 %.1f us "
+      "p99 %.1f us\n",
+      r.update_latency_ns.percentile(0.50) / 1e3,
+      r.update_latency_ns.percentile(0.99) / 1e3,
+      r.scan_latency_ns.percentile(0.50) / 1e3,
+      r.scan_latency_ns.percentile(0.99) / 1e3);
+  print_verdict(r.violations);
+}
+
+/// The JSON fields every scenario prints.
+bench::JsonWriter scenario_json(const char* experiment,
+                                const std::string& scenario, const Cli& cli,
+                                const std::vector<std::string>& violations) {
+  bench::JsonWriter j(experiment);
+  j.field("scenario", scenario)
+      .field("seed", (std::uint64_t)cli.seed)
+      .field("violations", (std::uint64_t)violations.size());
+  return j;
+}
+
+/// ...and those of every scenario that runs the workload.
+bench::JsonWriter workload_json(const char* experiment,
+                                const std::string& scenario, const Cli& cli,
+                                const chaos::WorkloadReport& r) {
+  bench::JsonWriter j = scenario_json(experiment, scenario, cli, r.violations);
+  j.field("nodes", (std::uint64_t)cli.nodes)
+      .field("seconds", cli.seconds)
+      .field("crash_rate", cli.crash_rate)
+      .field("fast", cli.fast)
+      .field("updates_ok", r.updates_ok)
+      .field("scans_ok", r.scans_ok)
+      .field("failed_update_attempts", r.failed_update_attempts)
+      .field("failed_scans", r.failed_scans)
+      .field("indeterminate_updates", r.indeterminate_updates)
+      .field("update_p50_us", r.update_latency_ns.percentile(0.50) / 1e3)
+      .field("update_p99_us", r.update_latency_ns.percentile(0.99) / 1e3)
+      .field("scan_p50_us", r.scan_latency_ns.percentile(0.50) / 1e3)
+      .field("scan_p99_us", r.scan_latency_ns.percentile(0.99) / 1e3);
+  return j;
+}
+
+// --- in-process scenarios ----------------------------------------------------
+
+void print_report(const std::string& label, const chaos::RunReport& r) {
+  std::printf("== %s ==\n", label.c_str());
+  print_workload(r);
   std::printf(
       "  injection   : %llu crashes, %llu partitions\n",
       (unsigned long long)r.crashes_injected,
@@ -162,47 +240,17 @@ void print_report(const std::string& label, const chaos::RunReport& r) {
       (unsigned long long)r.breaker_skips, (unsigned long long)r.fail_fasts,
       (unsigned long long)r.stale_epoch_replies,
       (unsigned long long)r.round_timeouts, (unsigned long long)r.retransmits);
-  std::printf(
-      "  rounds      : %llu protocol rounds, %llu fast reads, %llu fast "
-      "fallbacks\n",
-      (unsigned long long)r.protocol_rounds, (unsigned long long)r.fast_reads,
-      (unsigned long long)r.fast_fallbacks);
-  std::printf(
-      "  latency     : update p50 %.1f us p99 %.1f us | scan p50 %.1f us "
-      "p99 %.1f us\n",
-      r.update_latency_ns.percentile(0.50) / 1e3,
-      r.update_latency_ns.percentile(0.99) / 1e3,
-      r.scan_latency_ns.percentile(0.50) / 1e3,
-      r.scan_latency_ns.percentile(0.99) / 1e3);
-  if (r.violations.empty()) {
-    std::printf("  verdict     : PASS (no violations)\n");
-  } else {
-    std::printf("  verdict     : FAIL (%zu violation(s))\n",
-                r.violations.size());
-    for (const std::string& v : r.violations) {
-      std::printf("    - %s\n", v.c_str());
-    }
-  }
+  print_rounds(r.protocol_rounds, r.fast_reads, r.fast_fallbacks);
+  print_latency_and_verdict(r);
 }
 
-void print_json(const Cli& cli, const std::string& label, bool breaker,
+void print_json(const Cli& cli, const std::string& label,
                 const chaos::RunReport& r) {
   const std::uint64_t attempts =
       r.updates_ok + r.scans_ok + r.failed_update_attempts + r.failed_scans;
-  bench::JsonWriter j("E10-chaos");
-  j.field("scenario", label)
-      .field("nodes", (std::uint64_t)cli.nodes)
-      .field("seconds", cli.seconds)
-      .field("seed", (std::uint64_t)cli.seed)
-      .field("crash_rate", cli.crash_rate)
+  workload_json("E10-chaos", label, cli, r)
       .field("loss", cli.loss)
-      .field("breaker", breaker)
-      .field("violations", (std::uint64_t)r.violations.size())
-      .field("updates_ok", r.updates_ok)
-      .field("scans_ok", r.scans_ok)
-      .field("failed_update_attempts", r.failed_update_attempts)
-      .field("failed_scans", r.failed_scans)
-      .field("indeterminate_updates", r.indeterminate_updates)
+      .field("breaker", cli.breaker)
       .field("availability",
              attempts == 0 ? 1.0
                            : (double)(r.updates_ok + r.scans_ok) /
@@ -213,19 +261,14 @@ void print_json(const Cli& cli, const std::string& label, bool breaker,
       .field("recoveries", r.recoveries)
       .field("detection_mean_us", mean_us(r.detection_latencies))
       .field("recovery_mean_us", mean_us(r.recovery_latencies))
-      .field("update_p50_us", r.update_latency_ns.percentile(0.50) / 1e3)
-      .field("update_p99_us", r.update_latency_ns.percentile(0.99) / 1e3)
-      .field("scan_p50_us", r.scan_latency_ns.percentile(0.50) / 1e3)
-      .field("scan_p99_us", r.scan_latency_ns.percentile(0.99) / 1e3)
       .field("breaker_skips", r.breaker_skips)
       .field("fail_fasts", r.fail_fasts)
       .field("stale_epoch_replies", r.stale_epoch_replies)
       .field("round_timeouts", r.round_timeouts)
-      .field("fast", cli.fast)
       .field("protocol_rounds", r.protocol_rounds)
       .field("fast_reads", r.fast_reads)
-      .field("fast_fallbacks", r.fast_fallbacks);
-  j.print();
+      .field("fast_fallbacks", r.fast_fallbacks)
+      .print();
 }
 
 chaos::OrchestratorOptions base_options(const Cli& cli) {
@@ -250,7 +293,7 @@ int run_mixed(const Cli& cli) {
   opt.schedule = chaos::random_schedule(cli.nodes, profile, cli.seed);
   const chaos::RunReport r = chaos::run(opt);
   print_report("mixed", r);
-  print_json(cli, "mixed", cli.breaker, r);
+  print_json(cli, "mixed", r);
   return r.ok() ? 0 : 1;
 }
 
@@ -284,7 +327,7 @@ int run_breaker_ab(const Cli& cli) {
     print_report(breaker ? "breaker-ab (breaker on)"
                          : "breaker-ab (breaker off)",
                  r);
-    print_json(arm, "breaker-ab", breaker, r);
+    print_json(arm, "breaker-ab", r);
     if (!r.ok()) rc = 1;
   }
   return rc;
@@ -312,7 +355,7 @@ int run_broken_breaker(const Cli& cli) {
   opt.schedule.actions = {part, heal};
   const chaos::RunReport r = chaos::run(opt);
   print_report("broken-breaker (negative control)", r);
-  print_json(fixed, "broken-breaker", true, r);
+  print_json(fixed, "broken-breaker", r);
   if (r.ok()) {
     std::printf(
         "broken-breaker: expected the checkers to catch the unsafe quorum "
@@ -321,131 +364,44 @@ int run_broken_breaker(const Cli& cli) {
   return r.ok() ? 0 : 1;
 }
 
-/// NEGATIVE control for the fast-read path. unsafe_always_fast_read skips
-/// the read write-back even when the query quorum DISAGREED on the best
-/// timestamp — exactly the mutant the stability evidence exists to reject.
-/// A deterministic schedule makes the skip observable as a new/old read
-/// inversion:
-///
-///   1. write A = Tag{0,1} completes (and is confirmed) everywhere;
-///   2. links 0-1 and 0-2 are cut, so write B = Tag{0,2} times out having
-///      reached only replica 0 — an INDETERMINATE write, no confirm;
-///   3. reader at node 1 (quorum {0,1}) sees {ts=2, ts=1}: disagreement and
-///      no confirmed bit, yet the mutant returns B without writing back;
-///   4. reader at node 2 (quorum {1,2}, link to 0 cut) then sees ts=1
-///      unanimously and returns A — a read AFTER a read of B returned the
-///      older A.
-///
-/// check_single_writer must reject the history (ctest wraps this scenario
-/// in WILL_FAIL). With the real stability rule, step 3 falls back to the
-/// write-back and step 4 returns B — the fault-matrix tests pin that.
+/// NEGATIVE control for the fast-read path: the inversion schedule with
+/// unsafe_always_fast_read, which skips the read write-back even when the
+/// query quorum DISAGREED on the best timestamp. check_single_writer must
+/// reject the history. With the real stability rule the same schedule
+/// stays linearizable — the fast-read tests pin that.
 int run_broken_fastread(const Cli& cli) {
-  using Tag = lin::Tag;
   abd::AbdConfig config;
   config.unsafe_always_fast_read = true;
-  // Short deadline so the partitioned write in step 2 times out quickly;
-  // healthy in-process rounds finish in microseconds, so reads are unhurt.
+  // Short deadline so the partitioned write times out quickly; healthy
+  // in-process rounds finish in microseconds, so reads are unhurt.
   config.op_deadline = std::chrono::milliseconds(50);
-  abd::AbdCluster<Tag> cluster(3, 1, Tag{}, cli.seed, config);
-  lin::Recorder recorder(/*num_words=*/1);
+  const chaos::FastReadInversion r =
+      chaos::run_fastread_inversion(config, cli.seed);
   std::vector<std::string> violations;
-
-  {  // step 1: a confirmed base value
-    const lin::Time inv = recorder.tick();
-    const abd::OpStatus st = cluster.try_write(0, 0, Tag{0, 1});
-    const lin::Time res = recorder.tick();
-    if (st != abd::OpStatus::kOk) {
-      violations.push_back("setup: base write failed");
-    }
-    recorder.add_update(0, 0, Tag{0, 1}, inv, res);
-  }
-
-  // step 2: isolate the writer from the rest; the write reaches only the
-  // writer's own replica and times out — indeterminate, never confirmed.
-  cluster.cut_link(0, 1);
-  cluster.cut_link(0, 2);
-  const lin::Time b_inv = recorder.tick();
-  if (cluster.try_write(0, 0, Tag{0, 2}) == abd::OpStatus::kOk) {
-    violations.push_back("setup: partitioned write unexpectedly completed");
-  }
-
-  // step 3: node 1 reads with quorum {0,1} (link 1-2 cut).
-  cluster.restore_link(0, 1);
-  cluster.restore_link(0, 2);
-  cluster.cut_link(1, 2);
-  {
-    const lin::Time inv = recorder.tick();
-    const auto got = cluster.try_read(0, 1);
-    const lin::Time res = recorder.tick();
-    if (!got.has_value()) {
-      violations.push_back("setup: first read failed");
-    } else {
-      recorder.add_scan(1, {*got}, inv, res);
-    }
-  }
-
-  // step 4: node 2 reads with quorum {1,2} (links to 0 cut). The mutant
-  // never wrote ts=2 back, so both replies are the old ts=1.
-  cluster.restore_link(1, 2);
-  cluster.cut_link(0, 1);
-  cluster.cut_link(0, 2);
-  {
-    const lin::Time inv = recorder.tick();
-    const auto got = cluster.try_read(0, 2);
-    const lin::Time res = recorder.tick();
-    if (!got.has_value()) {
-      violations.push_back("setup: second read failed");
-    } else {
-      recorder.add_scan(2, {*got}, inv, res);
-    }
-  }
-
-  // The timed-out write is indeterminate: possibly applied any time up to
-  // now (the Jepsen :info convention used by every harness in this repo).
-  recorder.add_update(0, 0, Tag{0, 2}, b_inv, recorder.tick());
-
-  const lin::History history = recorder.take();
-  if (const auto violation = lin::check_single_writer(history)) {
-    violations.push_back("linearizability: " + *violation);
-  }
+  if (r.setup_error) violations.push_back("setup: " + *r.setup_error);
+  if (r.violation) violations.push_back("linearizability: " + *r.violation);
 
   std::printf("== broken-fastread (negative control) ==\n");
   std::printf("  fast reads  : %llu (mutant: write-back always skipped)\n",
-              (unsigned long long)cluster.fast_reads());
+              (unsigned long long)r.fast_reads);
+  print_verdict(violations);
   if (violations.empty()) {
     std::printf(
-        "  verdict     : PASS — but the checker was EXPECTED to catch the "
-        "unconditional write-back skip\n");
-  } else {
-    std::printf("  verdict     : FAIL (%zu violation(s), as intended)\n",
-                violations.size());
-    for (const std::string& v : violations) {
-      std::printf("    - %s\n", v.c_str());
-    }
+        "broken-fastread: expected the checker to catch the unconditional "
+        "write-back skip, but the run passed\n");
   }
-  bench::JsonWriter j("E16-fastread-negative");
-  j.field("scenario", std::string("broken-fastread"))
-      .field("seed", (std::uint64_t)cli.seed)
-      .field("violations", (std::uint64_t)violations.size())
-      .field("fast_reads", cluster.fast_reads())
-      .field("history_ops", (std::uint64_t)history.total_ops());
-  j.print();
+  scenario_json("E16-fastread-negative", "broken-fastread", cli, violations)
+      .field("fast_reads", r.fast_reads)
+      .field("history_ops", (std::uint64_t)r.history_ops)
+      .print();
   return violations.empty() ? 0 : 1;
 }
 
-// --- --scenario real: kill -9 chaos against live abd_replicad processes ----
+// --- process scenarios: kill -9 and wire chaos against live abd_replicad -----
 
-/// Aggregate outcome of one real-cluster run (the process analog of
-/// chaos::RunReport, minus the SimNetwork-only counters).
-struct RealReport {
-  std::uint64_t updates_ok = 0;
-  std::uint64_t scans_ok = 0;
-  std::uint64_t failed_update_attempts = 0;
-  std::uint64_t failed_scans = 0;
-  std::uint64_t indeterminate_updates = 0;
-  std::size_t history_ops = 0;
-  trace::LogHistogram update_hist;
-  trace::LogHistogram scan_hist;
+/// Outcome of one process-cluster run: the shared workload report plus
+/// what only real processes and the fault proxy produce.
+struct ProcessReport : chaos::WorkloadReport {
   abd::RemoteRegisterClient::Stats client;
   std::uint64_t reconnects = 0;
   chaos::ProcessCluster::Report proc;
@@ -454,30 +410,6 @@ struct RealReport {
   bool net_mode = false;
   net::LinkStats net;
   std::uint64_t net_bursts = 0;
-  std::vector<std::string> violations;
-  bool ok() const { return violations.empty(); }
-};
-
-/// Per-worker mutable state for the real scenario. Mirrors the orchestrator
-/// worker convention exactly (see chaos/orchestrator.cpp): same-tag retry
-/// with one spanning interval, indeterminate-at-shutdown, dropped failed
-/// scans.
-struct RealWorker {
-  std::uint64_t updates_ok = 0;
-  std::uint64_t scans_ok = 0;
-  std::uint64_t failed_update_attempts = 0;
-  std::uint64_t failed_scans = 0;
-  std::atomic<std::uint64_t> last_acked_seq{0};  ///< durability audit input
-  /// Successful ops, readable mid-run: the liveness watchdog's signal that
-  /// the cluster makes progress once the network heals.
-  std::atomic<std::uint64_t> ops_done{0};
-  bool has_pending = false;
-  lin::Tag pending_tag{};
-  lin::Time pending_inv = 0;
-  trace::LogHistogram update_hist;
-  trace::LogHistogram scan_hist;
-  abd::RemoteRegisterClient::Stats stats;
-  std::uint64_t reconnects = 0;
 };
 
 std::vector<net::Endpoint> probe_free_endpoints(std::size_t n) {
@@ -494,135 +426,16 @@ std::vector<net::Endpoint> probe_free_endpoints(std::size_t n) {
   return eps;
 }
 
-/// One collect: atomically read registers 0..W-1. nullopt if any read
-/// times out (no majority right now).
-std::optional<std::vector<std::pair<std::uint64_t, lin::Tag>>> real_collect(
-    abd::RemoteRegisterClient& client, std::size_t writers) {
-  std::vector<std::pair<std::uint64_t, lin::Tag>> out;
-  out.reserve(writers);
-  for (std::size_t w = 0; w < writers; ++w) {
-    const auto got = client.try_read(w);
-    if (!got.has_value()) return std::nullopt;
-    lin::Tag tag{static_cast<ProcessId>(w), 0};  // unwritten: initial tag
-    if (got->ts != 0) {
-      const auto decoded = net::wire::decode_tag(got->value);
-      if (!decoded.has_value()) return std::nullopt;  // corrupt value
-      tag = *decoded;
-    }
-    out.emplace_back(got->ts, tag);
-  }
-  return out;
+double restart_mean_ms(const chaos::ProcessCluster::Report& proc) {
+  if (proc.restart_latencies_ms.empty()) return 0.0;
+  double total = 0.0;
+  for (const double x : proc.restart_latencies_ms) total += x;
+  return total / (double)proc.restart_latencies_ms.size();
 }
 
-/// Double collect over the socket cluster: two identical consecutive
-/// collects of atomic (write-back) reads form a linearizable snapshot —
-/// Afek et al.'s Observation 1, unchanged by the transport. Caps attempts:
-/// under sustained writes a clean double collect may not happen, and a
-/// failed scan observed nothing, so it is simply dropped.
-std::optional<std::vector<lin::Tag>> real_scan(
-    abd::RemoteRegisterClient& client, std::size_t writers) {
-  constexpr int kMaxCollects = 16;
-  auto prev = real_collect(client, writers);
-  if (!prev.has_value()) return std::nullopt;
-  for (int i = 1; i < kMaxCollects; ++i) {
-    auto cur = real_collect(client, writers);
-    if (!cur.has_value()) return std::nullopt;
-    bool equal = true;
-    for (std::size_t w = 0; w < writers; ++w) {
-      if ((*cur)[w].first != (*prev)[w].first) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) {
-      std::vector<lin::Tag> view;
-      view.reserve(writers);
-      for (const auto& [ts, tag] : *cur) view.push_back(tag);
-      return view;
-    }
-    prev = std::move(cur);
-  }
-  return std::nullopt;
-}
-
-void real_worker_loop(const std::vector<net::Endpoint>& eps, ProcessId p,
-                      std::size_t writers, const Cli& cli,
-                      lin::Recorder& recorder, RealWorker& ws,
-                      const std::atomic<bool>& stop) {
-  using SClock = std::chrono::steady_clock;
-  const auto to_ns = [](SClock::duration d) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
-  };
-  abd::AbdConfig config;
-  config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::seconds(3));
-  config.fast_reads = cli.fast;
-  abd::RemoteRegisterClient client(eps, /*client_id=*/100 + p, config);
-  const auto think =
-      std::chrono::microseconds(static_cast<std::int64_t>(cli.think_ms * 1e3));
-  const auto retry_pause = std::chrono::milliseconds(1);
-
-  std::uint64_t seq = 0;
-  std::uint64_t op_count = 0;
-  while (!stop.load(std::memory_order_relaxed)) {
-    if (op_count++ % 2 == 0) {
-      // Update: retry the SAME (ts, value) until acked — idempotent at the
-      // replicas, so the retries are one logical operation whose interval
-      // spans every attempt.
-      const lin::Tag tag{p, ++seq};
-      const auto value = net::wire::encode_tag(tag);
-      const lin::Time inv = recorder.tick();
-      const auto started = SClock::now();
-      for (;;) {
-        if (client.try_write(p, seq, value) == abd::OpStatus::kOk) break;
-        ++ws.failed_update_attempts;
-        if (stop.load(std::memory_order_relaxed)) {
-          ws.has_pending = true;  // shutdown mid-retry: possibly applied
-          ws.pending_tag = tag;
-          ws.pending_inv = inv;
-          ws.stats = client.stats();
-          ws.reconnects = client.reconnects();
-          return;
-        }
-        std::this_thread::sleep_for(retry_pause);
-      }
-      const lin::Time res = recorder.tick();
-      recorder.add_update(p, p, tag, inv, res);
-      ws.update_hist.record(to_ns(SClock::now() - started));
-      ++ws.updates_ok;
-      ws.ops_done.fetch_add(1, std::memory_order_relaxed);
-      ws.last_acked_seq.store(seq, std::memory_order_relaxed);
-    } else {
-      const lin::Time inv = recorder.tick();
-      const auto started = SClock::now();
-      auto view = real_scan(client, writers);
-      if (view.has_value()) {
-        const lin::Time res = recorder.tick();
-        recorder.add_scan(p, std::move(*view), inv, res);
-        ws.scan_hist.record(to_ns(SClock::now() - started));
-        ++ws.scans_ok;
-        ws.ops_done.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++ws.failed_scans;  // observed nothing: dropped
-        std::this_thread::sleep_for(retry_pause);
-      }
-    }
-    std::this_thread::sleep_for(think);
-  }
-  ws.stats = client.stats();
-  ws.reconnects = client.reconnects();
-}
-
-void print_real_report(const std::string& label, const RealReport& r) {
+void print_process_report(const std::string& label, const ProcessReport& r) {
   std::printf("== %s ==\n", label.c_str());
-  std::printf(
-      "  workload    : %llu updates, %llu scans ok; %llu failed update "
-      "attempts, %llu failed scans, %llu indeterminate (history %zu ops)\n",
-      (unsigned long long)r.updates_ok, (unsigned long long)r.scans_ok,
-      (unsigned long long)r.failed_update_attempts,
-      (unsigned long long)r.failed_scans,
-      (unsigned long long)r.indeterminate_updates, r.history_ops);
+  print_workload(r);
   std::printf("  injection   : %llu kill -9, %llu SIGSTOP stalls\n",
               (unsigned long long)r.proc.kills,
               (unsigned long long)r.proc.stalls);
@@ -638,13 +451,8 @@ void print_real_report(const std::string& label, const RealReport& r) {
         (unsigned long long)r.net.throttle_pauses,
         (unsigned long long)r.net.forwarded);
   }
-  double restart_mean = 0.0;
-  for (const double x : r.proc.restart_latencies_ms) restart_mean += x;
-  if (!r.proc.restart_latencies_ms.empty()) {
-    restart_mean /= (double)r.proc.restart_latencies_ms.size();
-  }
   std::printf("  supervisor  : %llu restarts, mean respawn %.1f ms\n",
-              (unsigned long long)r.proc.restarts, restart_mean);
+              (unsigned long long)r.proc.restarts, restart_mean_ms(r.proc));
   std::printf(
       "  degradation : %llu retransmit waves, %llu dup replies, %llu "
       "stale-epoch replies, %llu round timeouts, %llu reconnects\n",
@@ -653,62 +461,24 @@ void print_real_report(const std::string& label, const RealReport& r) {
       (unsigned long long)r.client.stale_epoch_replies,
       (unsigned long long)r.client.round_timeouts,
       (unsigned long long)r.reconnects);
-  std::printf(
-      "  rounds      : %llu protocol rounds, %llu fast reads, %llu fast "
-      "fallbacks\n",
-      (unsigned long long)r.client.protocol_rounds,
-      (unsigned long long)r.client.fast_reads,
-      (unsigned long long)r.client.fast_fallbacks);
-  std::printf(
-      "  latency     : update p50 %.1f us p99 %.1f us | scan p50 %.1f us "
-      "p99 %.1f us\n",
-      r.update_hist.percentile(0.50) / 1e3,
-      r.update_hist.percentile(0.99) / 1e3,
-      r.scan_hist.percentile(0.50) / 1e3, r.scan_hist.percentile(0.99) / 1e3);
-  if (r.ok()) {
-    std::printf("  verdict     : PASS (no violations)\n");
-  } else {
-    std::printf("  verdict     : FAIL (%zu violation(s))\n",
-                r.violations.size());
-    for (const std::string& v : r.violations) {
-      std::printf("    - %s\n", v.c_str());
-    }
-  }
+  print_rounds(r.client.protocol_rounds, r.client.fast_reads,
+               r.client.fast_fallbacks);
+  print_latency_and_verdict(r);
 }
 
-void print_real_json(const Cli& cli, const std::string& scenario,
-                     const RealReport& r) {
-  double restart_mean = 0.0;
-  for (const double x : r.proc.restart_latencies_ms) restart_mean += x;
-  if (!r.proc.restart_latencies_ms.empty()) {
-    restart_mean /= (double)r.proc.restart_latencies_ms.size();
-  }
-  bench::JsonWriter j(r.net_mode ? "E14-netchaos" : "E12-cluster");
-  j.field("scenario", scenario)
-      .field("nodes", (std::uint64_t)cli.nodes)
-      .field("writers", (std::uint64_t)cli.writers)
-      .field("seconds", cli.seconds)
-      .field("seed", (std::uint64_t)cli.seed)
-      .field("crash_rate", cli.crash_rate)
-      .field("violations", (std::uint64_t)r.violations.size())
-      .field("updates_ok", r.updates_ok)
-      .field("scans_ok", r.scans_ok)
-      .field("failed_update_attempts", r.failed_update_attempts)
-      .field("failed_scans", r.failed_scans)
-      .field("indeterminate_updates", r.indeterminate_updates)
+void print_process_json(const Cli& cli, const std::string& scenario,
+                        const ProcessReport& r) {
+  bench::JsonWriter j = workload_json(
+      r.net_mode ? "E14-netchaos" : "E12-cluster", scenario, cli, r);
+  j.field("writers", (std::uint64_t)cli.writers)
       .field("kills", r.proc.kills)
       .field("stalls", r.proc.stalls)
       .field("restarts", r.proc.restarts)
-      .field("restart_mean_ms", restart_mean)
-      .field("update_p50_us", r.update_hist.percentile(0.50) / 1e3)
-      .field("update_p99_us", r.update_hist.percentile(0.99) / 1e3)
-      .field("scan_p50_us", r.scan_hist.percentile(0.50) / 1e3)
-      .field("scan_p99_us", r.scan_hist.percentile(0.99) / 1e3)
+      .field("restart_mean_ms", restart_mean_ms(r.proc))
       .field("retransmit_waves", r.client.retransmit_waves)
       .field("stale_epoch_replies", r.client.stale_epoch_replies)
       .field("round_timeouts", r.client.round_timeouts)
       .field("reconnects", r.reconnects)
-      .field("fast", cli.fast)
       .field("protocol_rounds", r.client.protocol_rounds)
       .field("fast_reads", r.client.fast_reads)
       .field("fast_fallbacks", r.client.fast_fallbacks);
@@ -731,27 +501,37 @@ void print_real_json(const Cli& cli, const std::string& scenario,
   j.print();
 }
 
+/// The daemons' state directory, removed when the run returns — on setup
+/// failures too — unless --keep-state asks to keep it.
+struct StateDir {
+  std::string path;
+  bool keep;
+  ~StateDir() {
+    std::error_code ec;
+    if (!keep) std::filesystem::remove_all(path, ec);
+  }
+};
+
 /// Shared runner for every real-process scenario. `mode` selects the
 /// adversary: process faults only (kNone), wire faults via net::ChaosProxy
 /// (kNet), both (kNetKill), or the negative minority-connectivity control
 /// (kSplit — safety rail OFF, no heal, MUST end in violations).
 int run_real(const Cli& cli, NetMode mode) {
   using SClock = std::chrono::steady_clock;
-  namespace fs = std::filesystem;
   const std::string label = mode == NetMode::kNone ? "real"
                             : mode == NetMode::kNet ? "net"
                             : mode == NetMode::kNetKill ? "net+kill"
                                                         : "net-split";
-  RealReport report;
+  ProcessReport report;
   report.net_mode = mode != NetMode::kNone;
   const auto fail = [&](const std::string& why) {
     report.violations.push_back(why);
-    print_real_report(label, report);
-    print_real_json(cli, label, report);
+    print_process_report(label, report);
+    print_process_json(cli, label, report);
     return 1;
   };
 
-  if (cli.replicad.empty() || !fs::exists(cli.replicad)) {
+  if (cli.replicad.empty() || !std::filesystem::exists(cli.replicad)) {
     return fail("setup: abd_replicad binary not found (pass --replicad)");
   }
   const std::size_t n = cli.nodes;
@@ -763,11 +543,13 @@ int run_real(const Cli& cli, NetMode mode) {
   if (::mkdtemp(tmpl) == nullptr) {
     return fail("setup: mkdtemp failed");
   }
-  const std::string state_dir = tmpl;
+  // Declared before the cluster, so the daemons are stopped before their
+  // directory goes.
+  const StateDir state_dir{tmpl, cli.keep_state};
 
   chaos::ProcessClusterConfig cluster_config;
   cluster_config.replicad_path = cli.replicad;
-  cluster_config.state_dir = state_dir;
+  cluster_config.state_dir = state_dir.path;
   cluster_config.endpoints = endpoints;
   cluster_config.regs = writers;
   cluster_config.restart_delay = std::chrono::milliseconds(150);
@@ -797,7 +579,7 @@ int run_real(const Cli& cli, NetMode mode) {
     // Minority-only connectivity, rail OFF: blackhole a MAJORITY of links
     // in both directions for the entire run and never heal. ABD must not
     // complete quorum operations, so the watchdog/audit below must flag
-    // the run (ctest wraps this scenario in WILL_FAIL).
+    // the run.
     const std::size_t cut = n / 2 + 1;
     for (std::size_t i = 0; i < cut; ++i) {
       proxy->blackhole(i, net::ChaosProxy::kToReplica, true);
@@ -805,17 +587,29 @@ int run_real(const Cli& cli, NetMode mode) {
     }
   }
 
+  // One worker per writer, each with its own client, running the shared
+  // workload: 1 ms before a retry, --think-ms after every operation.
+  abd::AbdConfig client_config;
+  client_config.op_deadline =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::seconds(3));
+  client_config.fast_reads = cli.fast;
+  std::vector<std::unique_ptr<abd::RemoteSnapshot>> snaps;
+  for (std::size_t w = 0; w < writers; ++w) {
+    snaps.push_back(std::make_unique<abd::RemoteSnapshot>(
+        client_eps, /*client_id=*/100 + w, writers, client_config));
+  }
+  const auto think =
+      std::chrono::microseconds(static_cast<std::int64_t>(cli.think_ms * 1e3));
   lin::Recorder recorder(writers);
+  std::vector<chaos::WorkerState> workers(writers);
   std::atomic<bool> stop{false};
-  std::vector<std::unique_ptr<RealWorker>> workers;
   std::vector<std::thread> threads;
   for (std::size_t w = 0; w < writers; ++w) {
-    workers.push_back(std::make_unique<RealWorker>());
-  }
-  for (std::size_t w = 0; w < writers; ++w) {
     threads.emplace_back([&, w] {
-      real_worker_loop(client_eps, static_cast<ProcessId>(w), writers, cli,
-                       recorder, *workers[w], stop);
+      chaos::worker_loop(*snaps[w], recorder, workers[w],
+                         static_cast<ProcessId>(w),
+                         std::chrono::milliseconds(1), think, stop);
     });
   }
 
@@ -923,54 +717,35 @@ int run_real(const Cli& cli, NetMode mode) {
         "liveness: " + std::to_string(cluster.unavailable()) +
         " replica(s) still down after the convergence timeout");
   }
-  // ...then the liveness watchdog: with the network perfect again, the
-  // workload must complete operations. Waits up to its own deadline so a
+  // ...then the liveness watchdog: with the network perfect again, EVERY
+  // worker must complete an operation, so one stuck worker is not masked
+  // by the others' progress. Waits up to its own deadline so a
   // slow-but-live cluster is not a false alarm.
-  {
-    std::uint64_t before = 0;
-    for (const auto& ws : workers) {
-      before += ws->ops_done.load(std::memory_order_relaxed);
-    }
-    const auto watchdog_by =
-        SClock::now() +
-        (mode == NetMode::kSplit ? std::chrono::seconds(2)
-                                 : std::chrono::seconds(5));
-    bool progressed = false;
-    while (SClock::now() < watchdog_by) {
-      std::uint64_t now_done = 0;
-      for (const auto& ws : workers) {
-        now_done += ws->ops_done.load(std::memory_order_relaxed);
-      }
-      if (now_done > before) {
-        progressed = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    if (!progressed) {
-      report.violations.push_back(
-          "liveness: no operation completed after the network healed "
-          "(watchdog)");
-    }
+  const std::uint64_t healed_ns = chaos::now_ns();
+  const auto progressed = [&](const chaos::WorkerState& ws) {
+    return ws.last_success_ns.load(std::memory_order_relaxed) >= healed_ns;
+  };
+  const auto watchdog_by =
+      SClock::now() + (mode == NetMode::kSplit ? std::chrono::seconds(2)
+                                               : std::chrono::seconds(5));
+  while (SClock::now() < watchdog_by &&
+         !std::all_of(workers.begin(), workers.end(), progressed)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (std::size_t w = 0; w < writers; ++w) {
+    if (progressed(workers[w])) continue;
+    report.violations.push_back(
+        "liveness: worker " + std::to_string(w) +
+        " completed no operation after the network healed (watchdog)");
   }
   // ...then a healthy tail so pending same-tag retries resolve.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();
 
-  // Updates unfinished at shutdown are indeterminate: possibly applied any
-  // time up to now, so their interval extends to a final tick.
-  const lin::Time final_tick = recorder.tick();
-  for (std::size_t w = 0; w < writers; ++w) {
-    RealWorker& ws = *workers[w];
-    if (!ws.has_pending) continue;
-    recorder.add_update(static_cast<ProcessId>(w), w, ws.pending_tag,
-                        ws.pending_inv, final_tick);
-    ++report.indeterminate_updates;
-  }
-
   // Durability audit: with the cluster healthy again, every acknowledged
   // write must be readable — the WAL + majority-resync acceptance check.
+  // Worker w's updates_ok is the seq of its last acknowledged write.
   {
     abd::AbdConfig config;
     config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -982,7 +757,7 @@ int run_real(const Cli& cli, NetMode mode) {
     abd::RemoteRegisterClient auditor(client_eps, /*client_id=*/999, config);
     for (std::size_t w = 0; w < writers; ++w) {
       const std::uint64_t acked =
-          workers[w]->last_acked_seq.load(std::memory_order_relaxed);
+          workers[w].updates_ok.load(std::memory_order_relaxed);
       const auto got = auditor.try_read(w);
       if (!got.has_value()) {
         report.violations.push_back(
@@ -999,22 +774,10 @@ int run_real(const Cli& cli, NetMode mode) {
     }
   }
 
-  for (std::size_t w = 0; w < writers; ++w) {
-    RealWorker& ws = *workers[w];
-    report.updates_ok += ws.updates_ok;
-    report.scans_ok += ws.scans_ok;
-    report.failed_update_attempts += ws.failed_update_attempts;
-    report.failed_scans += ws.failed_scans;
-    report.client.protocol_rounds += ws.stats.protocol_rounds;
-    report.client.fast_reads += ws.stats.fast_reads;
-    report.client.fast_fallbacks += ws.stats.fast_fallbacks;
-    report.client.retransmit_waves += ws.stats.retransmit_waves;
-    report.client.dup_replies += ws.stats.dup_replies;
-    report.client.stale_epoch_replies += ws.stats.stale_epoch_replies;
-    report.client.round_timeouts += ws.stats.round_timeouts;
-    report.reconnects += ws.reconnects;
-    report.update_hist.merge(ws.update_hist);
-    report.scan_hist.merge(ws.scan_hist);
+  chaos::finish(recorder, workers, report);
+  for (const auto& snap : snaps) {
+    report.client += snap->client().stats();
+    report.reconnects += snap->client().reconnects();
   }
   report.proc = cluster.report();
   if (report.net_mode) {
@@ -1032,21 +795,12 @@ int run_real(const Cli& cli, NetMode mode) {
     }
   }
 
-  const lin::History history = recorder.take();
-  report.history_ops = history.total_ops();
-  if (const auto violation = lin::check_single_writer(history)) {
-    report.violations.push_back("linearizability: " + *violation);
-  }
-
   cluster.stop();
-  if (!cli.keep_state) {
-    std::error_code ec;
-    fs::remove_all(state_dir, ec);
-  } else {
-    std::printf("  state kept  : %s\n", state_dir.c_str());
+  if (cli.keep_state) {
+    std::printf("  state kept  : %s\n", state_dir.path.c_str());
   }
-  print_real_report(label, report);
-  print_real_json(cli, label, report);
+  print_process_report(label, report);
+  print_process_json(cli, label, report);
   return report.ok() ? 0 : 1;
 }
 
@@ -1054,44 +808,35 @@ int run_real(const Cli& cli, NetMode mode) {
 
 int main(int argc, char** argv) {
   Cli cli;
-  cli.scenario = bench::consume_flag(argc, argv, "--scenario", cli.scenario);
-  cli.seconds =
-      std::atof(bench::consume_flag(argc, argv, "--seconds", "3").c_str());
+  cli.scenario = consume_flag(argc, argv, "--scenario", cli.scenario);
+  cli.seconds = std::atof(consume_flag(argc, argv, "--seconds", "3").c_str());
   cli.nodes = static_cast<std::size_t>(
-      std::atoi(bench::consume_flag(argc, argv, "--nodes", "5").c_str()));
+      std::atoi(consume_flag(argc, argv, "--nodes", "5").c_str()));
   cli.seed = static_cast<std::uint64_t>(
-      std::atoll(bench::consume_flag(argc, argv, "--seed", "1").c_str()));
-  cli.crash_rate = std::atof(
-      bench::consume_flag(argc, argv, "--crash-rate", "2").c_str());
-  cli.partition_rate = std::atof(
-      bench::consume_flag(argc, argv, "--partition-rate", "0.5").c_str());
-  cli.loss =
-      std::atof(bench::consume_flag(argc, argv, "--loss", "0.1").c_str());
-  cli.breaker =
-      bench::consume_flag(argc, argv, "--breaker", "on") != std::string("off");
-  cli.fast =
-      bench::consume_flag(argc, argv, "--fast", "on") != std::string("off");
-  cli.trace_path = bench::consume_flag(argc, argv, "--trace", "");
+      std::atoll(consume_flag(argc, argv, "--seed", "1").c_str()));
+  cli.crash_rate =
+      std::atof(consume_flag(argc, argv, "--crash-rate", "2").c_str());
+  cli.partition_rate =
+      std::atof(consume_flag(argc, argv, "--partition-rate", "0.5").c_str());
+  cli.loss = std::atof(consume_flag(argc, argv, "--loss", "0.1").c_str());
+  cli.breaker = consume_flag(argc, argv, "--breaker", "on") != "off";
+  cli.fast = consume_flag(argc, argv, "--fast", "on") != "off";
+  cli.trace_path = consume_flag(argc, argv, "--trace", "");
   cli.writers = static_cast<std::size_t>(
-      std::atoi(bench::consume_flag(argc, argv, "--writers", "3").c_str()));
-  cli.think_ms = std::atof(
-      bench::consume_flag(argc, argv, "--think-ms", "2").c_str());
-  cli.stall_ms = std::atof(
-      bench::consume_flag(argc, argv, "--stall-ms", "200").c_str());
-  cli.replicad =
-      bench::consume_flag(argc, argv, "--replicad", cli.replicad);
+      std::atoi(consume_flag(argc, argv, "--writers", "3").c_str()));
+  cli.think_ms =
+      std::atof(consume_flag(argc, argv, "--think-ms", "2").c_str());
+  cli.stall_ms =
+      std::atof(consume_flag(argc, argv, "--stall-ms", "200").c_str());
+  cli.replicad = consume_flag(argc, argv, "--replicad", cli.replicad);
   cli.delay_ms =
-      std::atof(bench::consume_flag(argc, argv, "--delay-ms", "0").c_str());
+      std::atof(consume_flag(argc, argv, "--delay-ms", "0").c_str());
   cli.jitter_ms =
-      std::atof(bench::consume_flag(argc, argv, "--jitter-ms", "0").c_str());
-  cli.reorder =
-      std::atof(bench::consume_flag(argc, argv, "--reorder", "0").c_str());
-  cli.partition = bench::consume_flag(argc, argv, "--partition", "on") !=
-                  std::string("off");
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--keep-state") cli.keep_state = true;
-    if (std::string(argv[i]) == "--real") cli.scenario = "real";
-  }
+      std::atof(consume_flag(argc, argv, "--jitter-ms", "0").c_str());
+  cli.reorder = std::atof(consume_flag(argc, argv, "--reorder", "0").c_str());
+  cli.partition = consume_flag(argc, argv, "--partition", "on") != "off";
+  cli.keep_state = consume_switch(argc, argv, "--keep-state");
+  if (!no_unknown_args(argc, argv, "chaos_run")) return 2;
   if (cli.seconds <= 0 || cli.nodes < 3) {
     std::fprintf(stderr, "chaos_run: need --seconds > 0 and --nodes >= 3\n");
     return 2;

@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -51,9 +50,10 @@
 
 #include "abd/abd_snapshot.hpp"
 #include "abd/remote_client.hpp"
+#include "abd/remote_snapshot.hpp"
 #include "bench_util.hpp"
 #include "net/socket.hpp"
-#include "net/wire.hpp"
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "core/bounded_mw_snapshot.hpp"
 #include "core/bounded_sw_snapshot.hpp"
@@ -597,12 +597,10 @@ int run_front(const Options& opt, MakeBackend&& make) {
 }
 
 /// Snapshot backend over a REAL socket cluster of abd_replicad daemons
-/// (--cluster host:port,...): per-slot RemoteRegisterClients — writers use
-/// ts = tag.seq, which the service keeps monotone per slot across lease
-/// handovers, so retransmitted writes stay idempotent — and scan is a
-/// bounded double collect of atomic (write-back) reads: two identical
-/// consecutive collects form a linearizable snapshot (Afek et al.
-/// Observation 1). Quorum loss surfaces as QuorumUnavailable, same as the
+/// (--cluster host:port,...): per-slot abd::RemoteSnapshots, one to write
+/// and one to scan. Writers use ts = tag.seq, which the service keeps
+/// monotone per slot across lease handovers, so retransmitted writes stay
+/// idempotent. Quorum loss surfaces as QuorumUnavailable, same as the
 /// in-process ABD backend.
 class ClusterSnapshot {
  public:
@@ -613,77 +611,38 @@ class ClusterSnapshot {
     config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::seconds(5));
     for (std::size_t i = 0; i < slots; ++i) {
-      writers_.push_back(std::make_unique<abd::RemoteRegisterClient>(
-          endpoints, seed * 10000 + 2000 + i, config));
-      scanners_.push_back(std::make_unique<abd::RemoteRegisterClient>(
-          endpoints, seed * 10000 + 3000 + i, config));
+      writers_.push_back(std::make_unique<abd::RemoteSnapshot>(
+          endpoints, seed * 10000 + 2000 + i, slots, config));
+      scanners_.push_back(std::make_unique<abd::RemoteSnapshot>(
+          endpoints, seed * 10000 + 3000 + i, slots, config));
     }
   }
 
   std::size_t size() const { return slots_; }
 
   void update(ProcessId i, Tag v) {
-    if (writers_[i]->try_write(i, v.seq, net::wire::encode_tag(v)) !=
-        abd::OpStatus::kOk) {
-      throw abd::QuorumUnavailable("write");
-    }
+    if (!writers_[i]->try_update(i, v)) throw abd::QuorumUnavailable("write");
   }
 
   std::vector<Tag> scan(ProcessId i) {
-    auto& client = *scanners_[i % slots_];
-    constexpr int kMaxCollects = 64;
-    auto prev = collect(client);
-    for (int attempt = 1; attempt < kMaxCollects; ++attempt) {
-      auto cur = collect(client);
-      if (cur.first == prev.first) return cur.second;
-      prev = std::move(cur);
-    }
-    throw abd::QuorumUnavailable("scan (no clean double collect)");
+    auto view = scanners_[i % slots_]->try_scan(i);
+    if (!view.has_value()) throw abd::QuorumUnavailable("scan");
+    return std::move(*view);
   }
 
- private:
-  /// (ts vector, tag vector) of one collect; throws on quorum timeout.
-  std::pair<std::vector<std::uint64_t>, std::vector<Tag>> collect(
-      abd::RemoteRegisterClient& client) {
-    std::vector<std::uint64_t> ts(slots_);
-    std::vector<Tag> tags(slots_);
-    for (std::size_t w = 0; w < slots_; ++w) {
-      const auto got = client.try_read(w);
-      if (!got.has_value()) throw abd::QuorumUnavailable("scan read");
-      ts[w] = got->ts;
-      if (got->ts != 0) {
-        const auto tag = net::wire::decode_tag(got->value);
-        if (!tag.has_value()) throw abd::QuorumUnavailable("scan decode");
-        tags[w] = *tag;
-      }
-    }
-    return {std::move(ts), std::move(tags)};
-  }
-
- public:
   /// Summed client-side round counters across all writer/scanner clients
   /// (the E16 fast-hit accounting for --backend cluster).
   abd::RemoteRegisterClient::Stats abd_stats() const {
     abd::RemoteRegisterClient::Stats total;
-    const auto add = [&](const abd::RemoteRegisterClient& c) {
-      const auto s = c.stats();
-      total.protocol_rounds += s.protocol_rounds;
-      total.fast_reads += s.fast_reads;
-      total.fast_fallbacks += s.fast_fallbacks;
-      total.retransmit_waves += s.retransmit_waves;
-      total.dup_replies += s.dup_replies;
-      total.stale_epoch_replies += s.stale_epoch_replies;
-      total.round_timeouts += s.round_timeouts;
-    };
-    for (const auto& c : writers_) add(*c);
-    for (const auto& c : scanners_) add(*c);
+    for (const auto& s : writers_) total += s->client().stats();
+    for (const auto& s : scanners_) total += s->client().stats();
     return total;
   }
 
  private:
   std::size_t slots_;
-  std::vector<std::unique_ptr<abd::RemoteRegisterClient>> writers_;
-  std::vector<std::unique_ptr<abd::RemoteRegisterClient>> scanners_;
+  std::vector<std::unique_ptr<abd::RemoteSnapshot>> writers_;
+  std::vector<std::unique_ptr<abd::RemoteSnapshot>> scanners_;
 };
 
 /// A3 behind the single-writer adapter (m == n words).
@@ -722,7 +681,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   using namespace asnap;
-  using bench::consume_flag;
 
   Options opt;
   opt.backend = consume_flag(argc, argv, "--backend", opt.backend);
@@ -756,14 +714,8 @@ int main(int argc, char** argv) {
   opt.trace_path = consume_flag(argc, argv, "--trace", "");
   opt.experiment = consume_flag(argc, argv, "--experiment", opt.experiment);
   opt.cluster = consume_flag(argc, argv, "--cluster", "");
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      opt.check = true;
-    } else {
-      std::fprintf(stderr, "loadgen: unknown argument '%s'\n", argv[i]);
-      return usage();
-    }
-  }
+  opt.check = consume_switch(argc, argv, "--check");
+  if (!no_unknown_args(argc, argv, "loadgen")) return usage();
   if (opt.slots == 0 || opt.clients == 0 ||
       (opt.mode != "closed" && opt.mode != "open")) {
     return usage();

@@ -283,9 +283,18 @@ class AbdCluster {
 
     std::size_t size() const { return cluster->nodes(); }
     std::uint64_t self() const { return id; }
-    net::Mailbox& inbox() {
+    net::Mailbox& inbox() const {
       return cluster->net_.mailbox(id, net::Port::kClient);
     }
+    /// The next reply on the client port. Only replica threads send there,
+    /// always a Frame, which is moved out of its box.
+    std::optional<net::wire::Received<V>> wait(Clock::time_point deadline) {
+      auto msg = inbox().receive_until(deadline);
+      if (!msg.has_value()) return std::nullopt;
+      return net::wire::Received<V>{
+          msg->from, std::move(std::any_cast<Frame&>(msg->payload))};
+    }
+    bool closed() const { return inbox().closed(); }
     void send(std::size_t to, const Frame& frame, Clock::time_point) {
       cluster->net_.send(id, static_cast<net::NodeId>(to), net::Port::kServer,
                          frame.type, frame.rid, std::any(frame));

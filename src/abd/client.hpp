@@ -8,15 +8,21 @@
 //           one [ABD];
 //   query:  query round only, the resync of a recovering replica.
 //
-// One loop runs every round: send a wave, wait on the transport's mailbox
-// for a reply or for the retransmission/deadline timer, feed the round.
-// Retransmissions reuse the request id: replica handlers are idempotent.
+// One loop runs every round: send a wave, wait on the transport for a
+// reply until the retransmission timer or the operation deadline, whichever
+// is first, feed the round. Retransmissions reuse the request id: replica
+// handlers are idempotent.
 //
 // A Transport is a small handle providing
 //   std::size_t size() const;         the replicas, indexed 0..size()-1
 //   std::uint64_t self() const;       this client's id (its node in-process)
 //   void send(std::size_t to, const Frame&, Clock::time_point deadline);
-//   net::Mailbox& inbox();            replies, each payload one Frame
+//   std::optional<net::wire::Received<V>> wait(Clock::time_point deadline);
+//                                     the next reply and the replica it
+//                                     came from, or nullopt at the deadline
+//                                     or once the transport is closed
+//   bool closed() const;              this client's endpoint is gone (its
+//                                     node crashed): the round is kClosed
 //   std::uint64_t epoch_floor(std::size_t replica) const;
 //                                     incarnation known out of band, or 0
 //   Suspects suspects() const;        the breaker, or empty
@@ -25,18 +31,20 @@
 //                                     only while the breaker is armed
 //   static constexpr std::chrono::microseconds kMinRto;
 //                                     the floor of that RTO (round_rto)
-// See AbdCluster::SimPort and RemoteRegisterClient::TcpPort. One operation
-// at a time per client: its owner serializes them.
+// See AbdCluster::SimPort (a Mailbox on the SimNetwork) and
+// RemoteRegisterClient::TcpPort (net::TcpBus: the op thread reads its own
+// sockets). Everything the client knows of time passes through wait() and
+// Clock::now(). One operation at a time per client: its owner serializes
+// them.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "abd/core.hpp"
-#include "net/network.hpp"
+#include "net/wire.hpp"
 
 namespace asnap::abd {
 
@@ -155,14 +163,13 @@ class Client {
   }
 
   /// Drive one round until it counts its quorum, the operation deadline
-  /// passes, the breaker fails it fast, or the client's mailbox closes.
+  /// passes, the breaker fails it fast, or the transport closes.
   OpStatus run(QuorumRound<V>& quorum, const Frame& req,
                Clock::time_point deadline) {
     const auto pid = static_cast<std::uint32_t>(transport_.self());
     const std::uint8_t want = req.type == net::wire::kReadReq
                                   ? net::wire::kReadReply
                                   : net::wire::kWriteAck;
-    net::Mailbox& inbox = transport_.inbox();
     auto now = Clock::now();
     while (!quorum.done()) {
       if (now >= deadline || quorum.starved(now)) {
@@ -175,22 +182,21 @@ class Client {
           transport_.send(to, req, deadline);
         });
       }
-      auto msg =
-          inbox.receive_until(std::min(deadline, quorum.retransmit_at()));
+      auto reply =
+          transport_.wait(std::min(deadline, quorum.retransmit_at()));
       now = Clock::now();
-      if (!msg.has_value()) {
-        if (!inbox.closed()) continue;
+      if (!reply.has_value()) {
+        if (!transport_.closed()) continue;
         ASNAP_TRACE_EVENT(trace::EventKind::kAbdRoundTimeout, pid, req.rid);
         return OpStatus::kClosed;
       }
-      const auto* reply = std::any_cast<Frame>(&msg->payload);
-      if (msg->rid != req.rid || reply == nullptr || reply->type != want) {
+      if (reply->frame.rid != req.rid || reply->frame.type != want) {
         continue;  // a reply to an earlier round
       }
-      Peer& peer = peers_[msg->from];
+      Peer& peer = peers_[reply->from];
       peer.epoch_floor =
-          std::max(peer.epoch_floor, transport_.epoch_floor(msg->from));
-      quorum.on_reply(msg->from, *reply, now);
+          std::max(peer.epoch_floor, transport_.epoch_floor(reply->from));
+      quorum.on_reply(reply->from, reply->frame, now);
     }
     ASNAP_TRACE_EVENT(trace::EventKind::kAbdQuorumReached, pid, req.rid,
                       quorum.counted());

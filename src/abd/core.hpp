@@ -6,8 +6,8 @@
 //   * abd::Client (client.hpp) runs QuorumRound over the in-process
 //     SimNetwork client port (AbdCluster) and over net::TcpBus
 //     (RemoteRegisterClient);
-//   * AbdCluster's replica threads and tools/abd_replicad's connection
-//     handlers feed requests to ReplicaCore.
+//   * AbdCluster's replica threads and tools/abd_replicad's event loop
+//     feed requests to ReplicaCore.
 // Neither machine touches a socket, a mailbox or the clock: the caller
 // passes `now` in, so tests drive them with an injected clock. (Their trace
 // events, when tracing is switched on, stamp themselves.)

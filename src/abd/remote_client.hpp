@@ -13,16 +13,19 @@
 //     adopted pair stable, query + write-back otherwise.
 //   try_query(reg): the query round alone (a recovering replica's resync).
 //
-// What the socket transport (TcpPort) adds: every send is bounded by the
-// operation deadline, so a half-open connection whose kernel buffer filled
-// cannot wedge an operation past it; epochs are learned only from replies
-// (the client tracks the highest per replica); and every round's
-// retransmission timeout derives from measured RTTs — on a 25 ms-delay link
-// the first retransmit waits ~4x the observed RTT instead of firing a
-// futile wave every initial_rto.
+// What the socket transport (TcpPort) adds: the thread running an operation
+// sends its wave and reads the replies from its own sockets (TcpBus::wait),
+// so a reply reaches the protocol with no thread handoff; every send is
+// bounded by the operation deadline, so a half-open connection whose kernel
+// buffer filled cannot wedge an operation past it; epochs are learned only
+// from replies (the client tracks the highest per replica); and every
+// round's retransmission timeout derives from measured RTTs — on a 25
+// ms-delay link the first retransmit waits ~4x the observed RTT instead of
+// firing a futile wave every initial_rto. The client starts no thread.
 //
-// One operation at a time per client (op_mu_): concurrent load comes from
-// many clients, matching one-mailbox-per-client SimNetwork usage.
+// One operation at a time per client (op_mu_), which is also what gives
+// the bus its one user at a time: concurrent load comes from many clients,
+// as in-process it comes from many SimNetwork client ports.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +103,11 @@ class RemoteRegisterClient {
 
     std::size_t size() const { return bus->size(); }
     std::uint64_t self() const { return client_id; }
-    net::Mailbox& inbox() { return bus->inbox(); }
+    std::optional<net::wire::Received<net::wire::Bytes>> wait(
+        Clock::time_point deadline) {
+      return bus->wait(deadline);
+    }
+    bool closed() const { return false; }  // the bus redials, never closes
     void send(std::size_t to, const net::wire::Frame& frame,
               Clock::time_point deadline) {
       bus->send(to, frame, deadline);

@@ -318,8 +318,9 @@ void ChaosProxy::pump(std::stop_token st, std::size_t link, Dir dir,
     }
     if (f.stall_prob > 0 && rng.chance(f.stall_prob)) {
       // Forward only a prefix — at least the length word, never the whole
-      // frame — then go silent past the receiver's read slice. The peer's
-      // recv_frame must classify this as kMalformed and drop us.
+      // frame — then go silent and drop the connection. A peer blocked in
+      // recv_frame classifies this as kMalformed; an event loop holds the
+      // partial frame until the drop.
       const wire::Bytes bytes = wire::encode(frame);
       const std::size_t prefix = 4 + rng.below(bytes.size() - 4);
       send_all(dst, bytes.data(), prefix, Clock::now() + kSendBudget);

@@ -15,8 +15,10 @@
 //   * throttle    — bandwidth cap via post-send sleeps;
 //   * stall       — forward only a PREFIX of a frame, then go silent and
 //                   drop the connection: the receiver sees a length prefix
-//                   with no body and must take the kMalformed mid-frame
-//                   path (wire.hpp's never-resynchronize rule);
+//                   with no body; a blocking reader (recv_frame) takes the
+//                   kMalformed mid-frame path, an event loop keeps the
+//                   partial frame until the drop (wire.hpp's
+//                   never-resynchronize rule);
 //   * reset       — close both sides mid-conversation;
 //   * blackhole   — read-and-discard one direction while the connection
 //                   stays open: A→B dead while B→A lives, the asymmetric

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -21,11 +22,9 @@ void set_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + std::strerror(errno);
 }
 
-bool set_nonblocking(int fd, bool on) {
+bool set_blocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  const int want = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  return ::fcntl(fd, F_SETFL, want) == 0;
+  return flags >= 0 && ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) == 0;
 }
 
 /// poll() one fd for `events`, bounded by `deadline`. Returns true when the
@@ -114,7 +113,11 @@ void Socket::close() {
 
 Listener Listener::open(const Endpoint& at, std::string* error) {
   Listener lst;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Non-blocking: accept_pending() drains the backlog until it is empty,
+  // and an accept() that lost a race with a reset connection returns
+  // instead of parking its caller.
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     set_error(error, "socket");
     return lst;
@@ -146,12 +149,12 @@ Listener Listener::open(const Endpoint& at, std::string* error) {
   return lst;
 }
 
-std::optional<Socket> Listener::accept(std::chrono::milliseconds timeout) {
-  if (!sock_.valid()) return std::nullopt;
-  if (!poll_until(sock_.fd(), POLLIN, Clock::now() + timeout)) {
-    return std::nullopt;
-  }
-  const int fd = ::accept(sock_.fd(), nullptr, nullptr);
+namespace {
+
+/// accept4 with `flags` (SOCK_CLOEXEC always), TCP_NODELAY on the result.
+std::optional<Socket> accept_with(const Socket& listener, int flags) {
+  const int fd =
+      ::accept4(listener.fd(), nullptr, nullptr, flags | SOCK_CLOEXEC);
   if (fd < 0) return std::nullopt;
   Socket conn(fd);
   const int one = 1;
@@ -159,9 +162,26 @@ std::optional<Socket> Listener::accept(std::chrono::milliseconds timeout) {
   return conn;
 }
 
+}  // namespace
+
+std::optional<Socket> Listener::accept(std::chrono::milliseconds timeout) {
+  if (!sock_.valid()) return std::nullopt;
+  if (!poll_until(sock_.fd(), POLLIN, Clock::now() + timeout)) {
+    return std::nullopt;
+  }
+  return accept_with(sock_, 0);
+}
+
+std::optional<Socket> Listener::accept_pending() {
+  if (!sock_.valid()) return std::nullopt;
+  return accept_with(sock_, SOCK_NONBLOCK);
+}
+
 Socket tcp_connect(const Endpoint& to, std::chrono::milliseconds timeout,
                    std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Non-blocking for the bounded connect; blocking again once connected.
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     set_error(error, "socket");
     return Socket();
@@ -170,10 +190,6 @@ Socket tcp_connect(const Endpoint& to, std::chrono::milliseconds timeout,
   sockaddr_in addr;
   if (!make_addr(to, &addr)) {
     if (error != nullptr) *error = "bad address: " + to.host;
-    return Socket();
-  }
-  if (!set_nonblocking(fd, true)) {
-    set_error(error, "fcntl");
     return Socket();
   }
   const int rc =
@@ -200,7 +216,7 @@ Socket tcp_connect(const Endpoint& to, std::chrono::milliseconds timeout,
       return Socket();
     }
   }
-  if (!set_nonblocking(fd, false)) {
+  if (!set_blocking(fd)) {
     set_error(error, "fcntl");
     return Socket();
   }
@@ -259,13 +275,13 @@ bool send_frame(const Socket& sock, const wire::Frame& frame,
 namespace {
 
 /// Extra time a receiver grants a frame whose FIRST bytes were consumed
-/// right at the caller's deadline. Every caller polls in slices (the bus
-/// reader, the replica daemons, the chaos proxy pumps all call recv_frame
-/// in a loop); without the grace, a frame whose length prefix lands in the
-/// last microseconds of a slice — with its body already queued in the
-/// kernel — would be misclassified as a mid-frame stall and cost the whole
-/// connection. The grace is bounded, so a genuinely stalled peer (the
-/// adversary chaos_proxy injects) is still detected, just one window later.
+/// right at the caller's deadline. Callers poll in slices (the chaos proxy
+/// pumps call recv_frame in a loop); without the grace, a frame whose
+/// length prefix lands in the last microseconds of a slice — with its body
+/// already queued in the kernel — would be misclassified as a mid-frame
+/// stall and cost the whole connection. The grace is bounded, so a
+/// genuinely stalled peer (the adversary chaos_proxy injects) is still
+/// detected, just one window later.
 constexpr std::chrono::milliseconds kMidFrameGrace{100};
 
 /// Read exactly `want` bytes into `dst`, honoring the deadline. A timeout
@@ -301,6 +317,20 @@ RecvStatus recv_exact(const Socket& sock, std::uint8_t* dst, std::size_t want,
   return RecvStatus::kOk;
 }
 
+/// The body length a frame's u32 prefix declares, or nullopt when no frame
+/// can have it (shorter than the fixed header, or above kMaxBody).
+std::optional<std::uint32_t> body_length(const std::uint8_t* prefix) {
+  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
+                            (static_cast<std::uint32_t>(prefix[1]) << 8) |
+                            (static_cast<std::uint32_t>(prefix[2]) << 16) |
+                            (static_cast<std::uint32_t>(prefix[3]) << 24);
+  if (len < wire::kHeaderBytes || len > wire::kMaxBody) return std::nullopt;
+  return len;
+}
+
+/// FrameBuffer::fill asks the kernel for at least this many bytes at once.
+constexpr std::size_t kMinRecv = 4096;
+
 }  // namespace
 
 RecvStatus recv_frame(const Socket& sock, Clock::time_point deadline,
@@ -310,14 +340,9 @@ RecvStatus recv_frame(const Socket& sock, Clock::time_point deadline,
   RecvStatus st =
       recv_exact(sock, len_buf, sizeof(len_buf), deadline, /*mid_frame=*/false);
   if (st != RecvStatus::kOk) return st;
-  const std::uint32_t body_len = static_cast<std::uint32_t>(len_buf[0]) |
-                                 (static_cast<std::uint32_t>(len_buf[1]) << 8) |
-                                 (static_cast<std::uint32_t>(len_buf[2]) << 16) |
-                                 (static_cast<std::uint32_t>(len_buf[3]) << 24);
-  if (body_len < wire::kHeaderBytes || body_len > wire::kMaxBody) {
-    return RecvStatus::kMalformed;
-  }
-  wire::Bytes body(body_len);
+  const auto body_len = body_length(len_buf);
+  if (!body_len.has_value()) return RecvStatus::kMalformed;
+  wire::Bytes body(*body_len);
   // The length prefix is already consumed: the body read is mid-frame, so
   // expiry (after the grace) is kMalformed, never a retryable kTimeout.
   st = recv_exact(sock, body.data(), body.size(), deadline, /*mid_frame=*/true);
@@ -327,6 +352,47 @@ RecvStatus recv_frame(const Socket& sock, Clock::time_point deadline,
   if (!frame.has_value()) return RecvStatus::kMalformed;
   *out = std::move(*frame);
   return RecvStatus::kOk;
+}
+
+bool FrameBuffer::fill(const Socket& sock) {
+  if (head_ == tail_) clear();
+  if (bytes_.size() - tail_ < kMinRecv) {
+    // Move the unparsed bytes to the front, then grow if that is not room
+    // enough (a frame body may be up to kMaxBody).
+    if (head_ > 0) {
+      std::memmove(bytes_.data(), bytes_.data() + head_, tail_ - head_);
+      tail_ -= head_;
+      head_ = 0;
+    }
+    if (bytes_.size() - tail_ < kMinRecv) {
+      bytes_.resize(std::max(2 * bytes_.size(), tail_ + kMinRecv));
+    }
+  }
+  for (;;) {
+    const ssize_t n = ::recv(sock.fd(), bytes_.data() + tail_,
+                             bytes_.size() - tail_, MSG_DONTWAIT);
+    if (n > 0) {
+      tail_ += static_cast<std::size_t>(n);
+      return true;
+    }
+    if (n == 0) return false;  // EOF
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK;
+  }
+}
+
+PopStatus FrameBuffer::pop(wire::Frame* out) {
+  const std::size_t have = tail_ - head_;
+  if (have < 4) return PopStatus::kNeedMore;
+  const std::uint8_t* at = bytes_.data() + head_;
+  const auto body_len = body_length(at);
+  if (!body_len.has_value()) return PopStatus::kMalformed;
+  if (have - 4 < *body_len) return PopStatus::kNeedMore;
+  auto frame = wire::decode(at + 4, *body_len);
+  if (!frame.has_value()) return PopStatus::kMalformed;
+  *out = std::move(*frame);
+  head_ += 4 + *body_len;
+  return PopStatus::kFrame;
 }
 
 }  // namespace asnap::net

@@ -1,6 +1,9 @@
 #include "net/tcp_bus.hpp"
 
+#include <time.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -8,60 +11,17 @@
 
 namespace asnap::net {
 
-namespace {
-using Clock = std::chrono::steady_clock;
-/// Reader threads poll in short slices so stop requests and dead sockets
-/// are noticed promptly without busy-waiting.
-constexpr std::chrono::milliseconds kReadSlice{100};
-}  // namespace
-
 TcpBus::TcpBus(std::vector<Endpoint> replicas, std::uint64_t seed,
                TcpBusOptions options)
     : replicas_(std::move(replicas)),
       options_(options),
-      inbox_(seed),
+      links_(replicas_.size()),
+      polled_(replicas_.size()),
       jitter_state_(seed ^ 0xBACC0FFULL) {
-  links_.reserve(replicas_.size());
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    links_.push_back(std::make_unique<Link>());
-    links_.back()->cooldown_base = options_.reconnect_cooldown;
-  }
-}
-
-TcpBus::~TcpBus() {
-  for (auto& link : links_) {
-    if (link->reader.joinable()) link->reader.request_stop();
-  }
-  for (auto& link : links_) {
-    if (link->reader.joinable()) link->reader.join();
-    link->sock.close();
-  }
-  inbox_.close();
-}
-
-void TcpBus::read_loop(std::stop_token st, std::size_t idx, int fd) {
-  // Borrow the fd: the send side owns the Socket and only closes it after
-  // joining this thread, so the fd stays valid for our whole lifetime.
-  Socket borrowed(fd);
-  wire::Frame frame;
-  while (!st.stop_requested()) {
-    const RecvStatus status =
-        recv_frame(borrowed, Clock::now() + kReadSlice, &frame);
-    if (status == RecvStatus::kTimeout) continue;
-    if (status != RecvStatus::kOk) break;  // EOF, error, or bad frame
-    Message msg;
-    msg.from = static_cast<NodeId>(idx);
-    msg.type = frame.type;
-    msg.rid = frame.rid;
-    msg.payload = frame;
-    inbox_.push(std::move(msg));
-  }
-  links_[idx]->broken.store(true, std::memory_order_release);
-  borrowed.release();  // fd ownership stays with the send side's Socket
+  for (Link& link : links_) link.cooldown_base = options_.reconnect_cooldown;
 }
 
 void TcpBus::arm_backoff(Link& link, std::size_t idx) {
-  // jitter_state_ is only touched here, under the serialized send path.
   const auto base = link.cooldown_base;
   const std::int64_t base_ms = std::max<std::int64_t>(1, base.count());
   // ±50% jitter: uniform in [base/2, 3*base/2].
@@ -70,7 +30,7 @@ void TcpBus::arm_backoff(Link& link, std::size_t idx) {
                                               static_cast<std::uint64_t>(
                                                   base_ms + 1));
   link.next_attempt = Clock::now() + std::chrono::milliseconds(jittered);
-  link.cooldown_ms.store(jittered, std::memory_order_relaxed);
+  link.cooldown = std::chrono::milliseconds(jittered);
   ASNAP_TRACE_EVENT(trace::EventKind::kNetReconnectBackoff, 0,
                     static_cast<std::uint64_t>(idx),
                     static_cast<std::uint64_t>(jittered));
@@ -80,22 +40,12 @@ void TcpBus::arm_backoff(Link& link, std::size_t idx) {
 
 std::chrono::milliseconds TcpBus::reconnect_cooldown(std::size_t to) const {
   if (to >= links_.size()) return std::chrono::milliseconds{0};
-  return std::chrono::milliseconds(
-      links_[to]->cooldown_ms.load(std::memory_order_relaxed));
+  return links_[to].cooldown;
 }
 
 bool TcpBus::ensure_connected(Link& link, std::size_t idx,
                               Clock::time_point deadline) {
-  if (link.sock.valid() && !link.broken.load(std::memory_order_acquire)) {
-    return true;
-  }
-  // Tear down the previous connection, if any, before redialing.
-  if (link.reader.joinable()) {
-    link.reader.request_stop();
-    link.reader.join();
-  }
-  link.sock.close();
-  link.broken.store(false, std::memory_order_release);
+  if (link.sock.valid()) return true;
   const auto now = Clock::now();
   if (now < link.next_attempt) return false;
   // Cap the dial by both the configured connect timeout and the caller's
@@ -114,30 +64,77 @@ bool TcpBus::ensure_connected(Link& link, std::size_t idx,
     return false;
   }
   link.sock = std::move(sock);
+  link.inbound.clear();  // a partial frame of the old stream never resumes
   link.cooldown_base = options_.reconnect_cooldown;  // healthy again
   reconnects_.fetch_add(1, std::memory_order_relaxed);
-  const int fd = link.sock.fd();
-  link.reader = std::jthread(
-      [this, idx, fd](std::stop_token st) { read_loop(st, idx, fd); });
   return true;
 }
 
 bool TcpBus::send(std::size_t to, const wire::Frame& frame,
                   Clock::time_point deadline) {
   if (to >= links_.size()) return false;
-  Link& link = *links_[to];
-  std::lock_guard<std::mutex> lock(link.mu);
+  Link& link = links_[to];
   if (!ensure_connected(link, to, deadline)) return false;
-  const bool ok =
-      deadline == Clock::time_point{}
-          ? send_frame(link.sock, frame)
-          : send_frame(link.sock, frame, deadline);
-  if (ok) return true;
-  // Broken pipe (or a deadline-expired write that may have left a partial
-  // frame on the wire): mark it so the next send redials instead of
-  // retrying a desynchronized fd.
-  link.broken.store(true, std::memory_order_release);
-  return false;
+  const bool ok = deadline == Clock::time_point{}
+                      ? send_frame(link.sock, frame)
+                      : send_frame(link.sock, frame, deadline);
+  // Broken pipe, or a deadline-expired write that may have left a partial
+  // frame on the wire: drop the link so the next send redials instead of
+  // writing to a desynchronized stream.
+  if (!ok) link.sock.close();
+  return ok;
+}
+
+std::optional<wire::Received<wire::Bytes>> TcpBus::pop_buffered() {
+  for (std::size_t idx = 0; idx < links_.size(); ++idx) {
+    Link& link = links_[idx];
+    wire::Frame frame;
+    const PopStatus status = link.inbound.pop(&frame);
+    if (status == PopStatus::kFrame) {
+      return wire::Received<wire::Bytes>{idx, std::move(frame)};
+    }
+    if (status == PopStatus::kMalformed) {
+      link.sock.close();  // never resynchronize a byte stream
+      link.inbound.clear();
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<wire::Received<wire::Bytes>> TcpBus::wait(
+    Clock::time_point deadline) {
+  for (bool polled = false;; polled = true) {
+    if (auto got = pop_buffered()) return got;
+    // Past the deadline, one last poll still collects what already arrived;
+    // a peer that keeps trickling bytes cannot hold the caller beyond it.
+    if (polled && Clock::now() >= deadline) return std::nullopt;
+    for (std::size_t idx = 0; idx < links_.size(); ++idx) {
+      // poll() skips a negative fd: an unconnected link is never ready.
+      polled_[idx] = {links_[idx].sock.fd(), POLLIN, 0};
+    }
+    // ppoll takes the time left at ns resolution, so a sub-millisecond
+    // retransmission timer is not rounded up to a whole millisecond.
+    const auto left = std::max<Clock::duration>(deadline - Clock::now(),
+                                                Clock::duration::zero());
+    const auto secs = std::chrono::duration_cast<std::chrono::seconds>(left);
+    const timespec timeout{
+        static_cast<time_t>(secs.count()),
+        static_cast<long>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(left - secs)
+                .count())};
+    const int ready = ::ppoll(polled_.data(), polled_.size(), &timeout,
+                              nullptr);
+    if (ready == 0) return std::nullopt;  // the deadline passed
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return std::nullopt;
+    }
+    for (std::size_t idx = 0; idx < links_.size(); ++idx) {
+      if (polled_[idx].revents == 0) continue;
+      Link& link = links_[idx];
+      if (!link.inbound.fill(link.sock)) link.sock.close();  // EOF or error
+    }
+  }
 }
 
 }  // namespace asnap::net

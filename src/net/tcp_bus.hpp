@@ -1,33 +1,31 @@
-// TcpBus: one logical client's connections to every replica daemon, shaped
-// like the client-port view of net::Network so the one ABD client
-// (abd::Client) runs over real sockets unchanged.
+// TcpBus: one logical client's connections to every replica daemon, the
+// socket transport under the one ABD client (abd::Client) when the far end
+// is a process that can be `kill -9`ed.
 //
-// In the simulated cluster a client broadcasts on Port::kServer and then
-// drains its own Port::kClient Mailbox; dedup by responder id, epoch checks
-// and retransmission-with-the-same-rid all happen above the mailbox. This
-// class reproduces exactly that surface over TCP: send(to, frame) lazily
-// (re)connects and writes one wire frame; a per-link reader thread pushes
-// every inbound frame into a single shared Mailbox as
-// Message{from = replica index, type, rid, payload = wire::Frame}. The
-// caller's round loop is therefore the same code whether the far end is a
-// jthread or a process that can be `kill -9`ed: unreachable replicas
-// surface as failed sends / absent replies, never as blocking.
+// The op thread does all of the work itself. send(to, frame) lazily
+// (re)connects and writes one wire frame; wait(deadline) hands back the
+// next frame any replica sent, with that replica's index. wait() first
+// returns a complete frame already buffered; otherwise it ppoll()s the
+// connected links for the time left and receives whatever is ready into
+// that link's FrameBuffer. A partial frame waits in its buffer and blocks
+// nobody. A link is dropped on EOF, on an error or on a malformed frame,
+// and the next send() to it redials. Dedup by responder id, epoch checks
+// and retransmission with the same rid all happen above the bus, in the
+// client's quorum round, so unreachable replicas surface as failed sends
+// and absent replies, never as blocking.
 //
-// Threading contract: send() may be called from one op thread at a time
-// (abd::RemoteRegisterClient serializes ops); reader threads never write
-// the socket, and only send() reconnects — after joining the old reader —
-// so the fd is never closed under a concurrent reader.
+// One user at a time: send() and wait() are called from one thread at a
+// time (abd::RemoteRegisterClient serializes its operations).
 #pragma once
+
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <optional>
 #include <vector>
 
-#include "net/network.hpp"
 #include "net/socket.hpp"
 
 namespace asnap::net {
@@ -49,9 +47,10 @@ struct TcpBusOptions {
 
 class TcpBus {
  public:
+  using Clock = std::chrono::steady_clock;
+
   TcpBus(std::vector<Endpoint> replicas, std::uint64_t seed,
          TcpBusOptions options = {});
-  ~TcpBus();
 
   TcpBus(const TcpBus&) = delete;
   TcpBus& operator=(const TcpBus&) = delete;
@@ -65,11 +64,11 @@ class TcpBus {
   /// half-open connection whose send buffer filled up fails the send
   /// instead of wedging the caller's whole operation.
   bool send(std::size_t to, const wire::Frame& frame,
-            std::chrono::steady_clock::time_point deadline = {});
+            Clock::time_point deadline = {});
 
-  /// Replies from all replicas (the Port::kClient analog). Frame payloads
-  /// arrive as std::any_cast<wire::Frame>-able messages.
-  Mailbox& inbox() { return inbox_; }
+  /// The next frame from any replica, with the replica's index, or nullopt
+  /// once `deadline` passes without one.
+  std::optional<wire::Received<wire::Bytes>> wait(Clock::time_point deadline);
 
   std::uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
@@ -81,27 +80,26 @@ class TcpBus {
 
  private:
   struct Link {
-    std::mutex mu;  ///< guards sock/reader lifecycle (send-side only)
     Socket sock;
-    std::jthread reader;
-    std::atomic<bool> broken{false};  ///< reader saw EOF/error/bad frame
-    std::chrono::steady_clock::time_point next_attempt{};
+    /// Bytes received and not yet parsed. Complete frames stay deliverable
+    /// after the link is dropped; a redial starts a new stream.
+    FrameBuffer inbound;
+    Clock::time_point next_attempt{};
     /// Base cooldown before jitter: floor after success, doubling per
     /// consecutive connect failure up to the ceiling.
     std::chrono::milliseconds cooldown_base{0};
     /// Last armed (jittered) cooldown, exposed via reconnect_cooldown().
-    std::atomic<std::int64_t> cooldown_ms{0};
+    std::chrono::milliseconds cooldown{0};
   };
 
-  void read_loop(std::stop_token st, std::size_t idx, int fd);
-  bool ensure_connected(Link& link, std::size_t idx,
-                        std::chrono::steady_clock::time_point deadline);
+  std::optional<wire::Received<wire::Bytes>> pop_buffered();
+  bool ensure_connected(Link& link, std::size_t idx, Clock::time_point deadline);
   void arm_backoff(Link& link, std::size_t idx);
 
   std::vector<Endpoint> replicas_;
   TcpBusOptions options_;
-  std::vector<std::unique_ptr<Link>> links_;
-  Mailbox inbox_;
+  std::vector<Link> links_;
+  std::vector<pollfd> polled_;  ///< wait()'s ppoll set, one entry per link
   std::uint64_t jitter_state_;  ///< splitmix64 stream for backoff jitter
   std::atomic<std::uint64_t> reconnects_{0};
 };

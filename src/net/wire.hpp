@@ -95,6 +95,14 @@ struct BasicFrame {
 };
 using Frame = BasicFrame<Bytes>;
 
+/// A frame as a client's transport hands it over: with the index of the
+/// replica (the link) it arrived from.
+template <typename V>
+struct Received {
+  std::size_t from = 0;
+  BasicFrame<V> frame;
+};
+
 /// Serialize including the u32 length prefix, ready for send().
 Bytes encode(const Frame& frame);
 

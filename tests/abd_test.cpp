@@ -1,19 +1,24 @@
 // Tests for the ABD register emulation and the message-passing snapshot
 // (experiment E9): the protocol core's two state machines driven by an
-// injected clock (QuorumRound, ReplicaCore), register atomicity, snapshot
-// linearizability over the network, minority-crash resilience, and
-// message-complexity accounting.
+// injected clock (QuorumRound, ReplicaCore), the client loop over a
+// scripted transport, register atomicity, snapshot linearizability over
+// the network, minority-crash resilience, and message-complexity
+// accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "abd/abd_register.hpp"
 #include "abd/abd_snapshot.hpp"
+#include "abd/client.hpp"
 #include "abd/core.hpp"
 #include "lin/history.hpp"
 #include "lin/snapshot_checker.hpp"
@@ -311,6 +316,111 @@ TEST(ReplicaCore, InstallFromResyncNeverConfirms) {
   EXPECT_EQ(read->value, 40);
   EXPECT_EQ(read->flags & net::wire::kFlagTsConfirmed, 0)
       << "knowing a value is not knowing a majority stores it";
+}
+
+// --- Client over a scripted Transport ---------------------------------------
+
+/// A Transport (client.hpp) whose replies come from a script. Each wait()
+/// answers the latest request with the next scripted reply; with the script
+/// used up it sleeps to the deadline and returns nothing, as a silent
+/// network would.
+struct ScriptedTransport {
+  static constexpr bool kAlwaysAdaptiveRto = false;
+  static constexpr std::chrono::microseconds kMinRto{200};
+  using Reply = std::function<net::wire::Received<int>(const Frame& request)>;
+  struct Script {
+    std::vector<Frame> sent;
+    std::deque<Reply> replies;
+    bool closed = false;
+    int waits = 0;
+  };
+  Script* script;
+
+  std::size_t size() const { return 3; }
+  std::uint64_t self() const { return 9; }
+  void send(std::size_t, const Frame& frame, Clock::time_point) {
+    script->sent.push_back(frame);
+  }
+  std::optional<net::wire::Received<int>> wait(Clock::time_point deadline) {
+    ++script->waits;
+    if (script->closed) return std::nullopt;
+    if (script->replies.empty()) {
+      std::this_thread::sleep_until(deadline);
+      return std::nullopt;
+    }
+    Reply next = std::move(script->replies.front());
+    script->replies.pop_front();
+    return next(script->sent.back());
+  }
+  bool closed() const { return script->closed; }
+  std::uint64_t epoch_floor(std::size_t) const { return 0; }
+  Suspects suspects() const { return {}; }
+};
+
+/// Replica `from` answering a request with (ts, value); `rids_back` > 0
+/// answers the request that many rounds earlier instead.
+ScriptedTransport::Reply answer(std::size_t from, std::uint64_t ts, int value,
+                                std::uint64_t rids_back = 0) {
+  return [=](const Frame& request) {
+    Frame f = read_reply(ts, value);
+    if (request.type == net::wire::kWriteReq) f.type = net::wire::kWriteAck;
+    f.rid = request.rid - rids_back;
+    return net::wire::Received<int>{from, f};
+  };
+}
+
+struct ClientFixture {
+  explicit ClientFixture(AbdConfig cfg = {}) : config(cfg) {}
+  AbdConfig config;
+  Counters counters;
+  ScriptedTransport::Script script;
+  Client<int, ScriptedTransport> client{ScriptedTransport{&script}, config,
+                                        counters};
+};
+
+TEST(ClientTransport, ReplyToAnEarlierRidIsSkipped) {
+  ClientFixture f;
+  f.script.replies = {answer(0, 9, 90, /*rids_back=*/1), answer(0, 2, 20),
+                      answer(1, 2, 20)};
+  const auto got = f.client.query(0);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->ts, 2u) << "the earlier round's reply must not be adopted";
+  EXPECT_EQ(got->value, 20);
+  EXPECT_EQ(f.script.waits, 3);
+}
+
+TEST(ClientTransport, TwoMatchingRepliesEndTheRoundWithTheAdoptedPair) {
+  ClientFixture f;
+  f.script.replies = {answer(2, 3, 30), answer(0, 5, 50)};
+  const auto got = f.client.query(0);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->ts, 5u);
+  EXPECT_EQ(got->value, 50);
+  EXPECT_EQ(f.script.waits, 2) << "a majority of 3 ends the round";
+  EXPECT_EQ(f.script.sent.size(), 3u) << "one wave, no retransmission";
+  EXPECT_EQ(load(f.counters.retransmits), 0u);
+}
+
+TEST(ClientTransport, SilenceUntilTheDeadlineTimesOutAfterRetransmissions) {
+  AbdConfig cfg;
+  cfg.initial_rto = 2ms;
+  cfg.max_rto = 4ms;
+  cfg.op_deadline = 30ms;
+  ClientFixture f(cfg);
+  const auto start = Clock::now();
+  EXPECT_EQ(f.client.write(0, 1, 10), OpStatus::kTimeout);
+  EXPECT_GE(Clock::now() - start, 30ms) << "the deadline is waited out";
+  EXPECT_GE(load(f.counters.retransmits), 2u);
+  EXPECT_GT(f.script.sent.size(), 3u) << "waves after the first";
+  EXPECT_EQ(load(f.counters.round_timeouts), 1u);
+}
+
+TEST(ClientTransport, ClosedTransportIsKClosed) {
+  ClientFixture f;
+  f.script.closed = true;
+  EXPECT_EQ(f.client.write(0, 1, 10), OpStatus::kClosed);
+  EXPECT_FALSE(f.client.read(0).has_value());
+  EXPECT_EQ(f.script.waits, 2) << "one wait per operation, no spinning";
 }
 
 // --- AbdCluster --------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Network-chaos suite: the seeded frame fuzzer, the recv_frame stream
 // discipline under byte-level adversaries, the WAL disk-full regression,
-// the TcpBus reconnect-backoff schedule, and ChaosProxy unit tests against
-// a local frame-echo server.
+// the TcpBus reconnect-backoff schedule and its framing rule (a partial
+// frame waits, a malformed one or EOF drops the link), and ChaosProxy unit
+// tests against a local frame-echo server.
 //
 // The fuzzer is the CI face of the wire contract: ANY byte string handed to
 // wire::decode either parses or is rejected with a typed DecodeError — the
@@ -385,7 +386,7 @@ TEST(TcpBusBackoff, GrowsToCapAndResetsAfterSuccess) {
   auto sink = listener.accept(1000ms);
   ASSERT_TRUE(sink.has_value());
   listener.close();
-  sink->close();  // EOF -> the bus reader marks the link broken
+  sink->close();  // EOF: the next sends hit a reset connection
 
   bool failed = false;
   for (int i = 0; i < 50 && !failed; ++i) {
@@ -394,12 +395,101 @@ TEST(TcpBusBackoff, GrowsToCapAndResetsAfterSuccess) {
   }
   ASSERT_TRUE(failed);
   // That first failure may have been the broken-pipe write itself, which
-  // marks the link but does not redial; push one more send through the dial
+  // drops the link but does not redial; push one more send through the dial
   // path so the post-reset schedule is what reconnect_cooldown() reports.
   std::this_thread::sleep_for(bus.reconnect_cooldown(0) + 5ms);
   EXPECT_FALSE(bus.send(0, ping));
   // Two armings after the reset at most: base 10 then 20, +50% jitter.
   EXPECT_LE(bus.reconnect_cooldown(0), 45ms);
+}
+
+// --- TcpBus::wait: the op thread reads its own sockets ----------------------
+
+/// A one-replica TcpBus whose replica is the test: it accepts the bus's
+/// connection on `listener` and writes raw bytes back on `replica`.
+struct BusWait : ::testing::Test {
+  net::Listener listener;
+  std::optional<net::TcpBus> bus;
+  net::Socket replica;
+
+  void SetUp() override {
+    std::string error;
+    listener = net::Listener::open({"127.0.0.1", 0}, &error);
+    ASSERT_TRUE(listener.valid()) << error;
+    bus.emplace(std::vector<net::Endpoint>{{"127.0.0.1",
+                                            listener.bound_port()}},
+                /*seed=*/5);
+    dial();
+  }
+
+  /// Send a ping through the bus, which dials if its link is down, and take
+  /// the replica's end of the connection it arrived on.
+  void dial() {
+    Frame ping;
+    ping.type = net::wire::kPing;
+    ASSERT_TRUE(bus->send(0, ping));
+    auto conn = listener.accept(1000ms);
+    ASSERT_TRUE(conn.has_value()) << "the ping did not open a new connection";
+    replica = std::move(*conn);
+    Frame got;
+    ASSERT_EQ(net::recv_frame(replica, std::chrono::steady_clock::now() + 1s,
+                              &got),
+              RecvStatus::kOk);
+  }
+
+  std::optional<net::wire::Received<Bytes>> wait_for(
+      std::chrono::milliseconds timeout) {
+    return bus->wait(std::chrono::steady_clock::now() + timeout);
+  }
+};
+
+TEST_F(BusWait, FrameWrittenOneByteAtATimeComesBackWhole) {
+  Frame f;
+  f.type = net::wire::kReadReply;
+  f.rid = 5;
+  f.ts = 3;
+  f.value = {1, 2, 3, 4};
+  const Bytes bytes = net::wire::encode(f);
+  std::jthread writer([&] {
+    for (const std::uint8_t byte : bytes) {
+      ASSERT_EQ(::send(replica.fd(), &byte, 1, MSG_NOSIGNAL), 1);
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  const auto got = wait_for(5s);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->from, 0u);
+  EXPECT_EQ(got->frame.type, net::wire::kReadReply);
+  EXPECT_EQ(got->frame.rid, 5u);
+  EXPECT_EQ(got->frame.ts, 3u);
+  EXPECT_EQ(got->frame.value, Bytes({1, 2, 3, 4}));
+  writer.join();
+  EXPECT_FALSE(wait_for(20ms).has_value()) << "exactly one frame was sent";
+  EXPECT_EQ(bus->reconnects(), 1u);
+}
+
+TEST_F(BusWait, MalformedFrameDropsTheLinkAndTheNextSendRedials) {
+  Frame f;
+  f.type = net::wire::kReadReply;
+  Bytes bytes = net::wire::encode(f);
+  bytes[4] ^= 0xFF;  // first magic byte: a bad frame, never resynchronized
+  ASSERT_TRUE(net::send_all(replica, bytes.data(), bytes.size(),
+                            std::chrono::steady_clock::now() + 1s));
+  EXPECT_FALSE(wait_for(100ms).has_value());
+  Frame eof;
+  EXPECT_EQ(net::recv_frame(replica, std::chrono::steady_clock::now() + 1s,
+                            &eof),
+            RecvStatus::kClosed)
+      << "the bus closes its end of a malformed stream";
+  dial();
+  EXPECT_EQ(bus->reconnects(), 2u);
+}
+
+TEST_F(BusWait, EofDropsTheLinkAndTheNextSendRedials) {
+  replica.close();
+  EXPECT_FALSE(wait_for(100ms).has_value());
+  dial();
+  EXPECT_EQ(bus->reconnects(), 2u);
 }
 
 // --- ChaosProxy primitives ---------------------------------------------------

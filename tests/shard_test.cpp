@@ -253,7 +253,9 @@ TEST(ShardedFabric, UpdateLandsAtItsGlobalWordAndBumpsGeneration) {
   // The stored tag carries the GLOBAL word index — unique fabric-wide.
   EXPECT_EQ(g.view[word], (Tag{static_cast<ProcessId>(word), 1}));
   for (std::size_t w = 0; w < g.view.size(); ++w) {
-    if (w != word) EXPECT_TRUE(g.view[w].is_initial());
+    if (w != word) {
+      EXPECT_TRUE(g.view[w].is_initial());
+    }
   }
   (void)fabric.disconnect(conn.session);
 }

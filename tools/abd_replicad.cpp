@@ -15,6 +15,16 @@
 //     bumps its epoch, and the core stamps all replies with it, so clients
 //     discard replies produced by a pre-crash incarnation.
 //
+// SERVING: one thread runs one epoll loop over the listener, every client
+// connection and a signalfd for SIGTERM/SIGINT (so shutdown needs no
+// polling). Each complete frame goes through Replica::handle in arrival
+// order: a WRITE that advances the replica is appended and fsynced on the
+// loop thread, and its ack is sent as soon as that fsync returns. A partial
+// frame waits in its connection's buffer; a malformed one drops the
+// connection. Replies go out without waiting: one that does not fit the
+// send buffer drops its connection and the client redials, so no peer can
+// stall the loop.
+//
 // Recovery order matters and is deliberate: the daemon serves immediately
 // after replaying its WAL — a replica restored from its log is merely
 // stale, which ABD tolerates by construction (read quorums intersect the
@@ -22,7 +32,9 @@
 // quorum-reads registers 0..regs-1 through abd::RemoteRegisterClient and
 // adopts anything newer, restoring full f-tolerance. Serving first avoids
 // the bootstrap deadlock where all replicas of a cold cluster wait on each
-// other's majority.
+// other's majority. The resync thread is the daemon's only other thread: it
+// is a client of this daemon's own listener, so it cannot run on the loop,
+// and the replica mutex is there for it.
 //
 // Usage:
 //   abd_replicad --id I --peers host:port,... --state-dir DIR [--regs N]
@@ -32,18 +44,22 @@
 // one cluster may share a --state-dir without sharing a WAL). Prints
 // "READY port=<p> epoch=<e>" on stdout once accepting.
 #include <signal.h>
+#include <sys/epoll.h>
+#include <sys/signalfd.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "abd/core.hpp"
@@ -59,9 +75,14 @@ namespace {
 using namespace std::chrono_literals;
 using net::wire::Frame;
 
-std::atomic<bool> g_stop{false};
-
-void on_signal(int) { g_stop.store(true, std::memory_order_release); }
+/// SIGTERM and SIGINT: blocked in every thread, read from a signalfd.
+sigset_t stop_signals() {
+  sigset_t set;
+  ::sigemptyset(&set);
+  ::sigaddset(&set, SIGTERM);
+  ::sigaddset(&set, SIGINT);
+  return set;
+}
 
 struct Args {
   std::size_t id = 0;
@@ -70,8 +91,8 @@ struct Args {
   std::uint64_t regs = 16;
 };
 
-/// The replica shared by connection handlers and the resync thread. One
-/// mutex covers core + WAL so compaction can't race appends.
+/// The replica shared by the loop and the resync thread. One mutex covers
+/// core + WAL so compaction can't race appends.
 struct Replica {
   static constexpr std::uint64_t kCompactBytes = 8ull << 20;
   std::mutex mu;
@@ -94,25 +115,37 @@ struct Replica {
   }
 };
 
-void serve_connection(std::size_t id, Replica& replica, net::Socket conn) {
+/// A client connection: its socket and the bytes of frames still arriving.
+struct Conn {
+  net::Socket sock;
+  net::FrameBuffer inbound;
+};
+
+/// Serve every complete frame `conn` has buffered, in arrival order. False
+/// when the connection must be dropped: a malformed frame, a failed WAL
+/// append, or a reply that did not fit the send buffer.
+bool serve_frames(std::size_t id, Replica& replica, Conn& conn) {
   Frame req;
-  while (!g_stop.load(std::memory_order_acquire)) {
-    const auto status = net::recv_frame(
-        conn, std::chrono::steady_clock::now() + 250ms, &req);
-    if (status == net::RecvStatus::kTimeout) continue;  // idle, re-check stop
-    if (status != net::RecvStatus::kOk) return;  // EOF / error / bad frame
+  net::PopStatus status;
+  while ((status = conn.inbound.pop(&req)) == net::PopStatus::kFrame) {
     std::optional<Frame> reply;
     if (!replica.handle(req, &reply)) {
       // Classified so an operator can tell a full volume (free space,
       // daemon recovers) from a dying device; NEITHER is acked.
       std::fprintf(stderr, "replica %zu: WAL append failed (%s), dropping\n",
                    id, abd::wal_error_name(replica.wal->last_error()));
-      return;
+      return false;
     }
     if (!reply.has_value()) continue;  // CONFIRM or unknown: no reply
     reply->from = id;
-    if (!net::send_frame(conn, *reply)) return;
+    // A deadline long past: the reply is written only if it fits the send
+    // buffer now, never waited for.
+    if (!net::send_frame(conn.sock, *reply,
+                         std::chrono::steady_clock::time_point::min())) {
+      return false;
+    }
   }
+  return status == net::PopStatus::kNeedMore;
 }
 
 /// Background resync: quorum-read each register through the ordinary client
@@ -124,7 +157,8 @@ void serve_connection(std::size_t id, Replica& replica, net::Socket conn) {
 /// the confirmed ts: a resync read skipping write-back has not stabilized
 /// anything, so the restarted replica must keep answering reads without
 /// kFlagTsConfirmed until a live writer/reader confirms again.
-void resync(std::size_t id, const Args& args, Replica& replica) {
+void resync(std::size_t id, const Args& args, Replica& replica,
+            const std::atomic<bool>& stop) {
   abd::AbdConfig config;
   config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::seconds(2));
@@ -133,7 +167,7 @@ void resync(std::size_t id, const Args& args, Replica& replica) {
   std::size_t synced = 0;
   for (std::uint64_t reg = 0; reg < args.regs; ++reg) {
     for (int attempt = 0; attempt < 3; ++attempt) {
-      if (g_stop.load(std::memory_order_acquire)) return;
+      if (stop.load(std::memory_order_acquire)) return;
       const auto got = client.try_query(reg);
       if (!got.has_value()) {
         std::this_thread::sleep_for(100ms);
@@ -154,12 +188,55 @@ void resync(std::size_t id, const Args& args, Replica& replica) {
   std::fflush(stdout);
 }
 
-/// A connection handler. Finished ones are joined by the accept loop: an
-/// exited thread that is never joined keeps its stack mapped.
-struct Handler {
-  std::atomic<bool> done{false};
-  std::thread thread;
-};
+/// The event loop: accept, receive, serve, until SIGTERM/SIGINT arrive on
+/// `signals` (true) or epoll fails (false). Level-triggered, so a
+/// connection with more bytes ready than one receive takes is simply
+/// reported again on the next pass.
+bool serve(std::size_t id, Replica& replica, net::Listener& listener,
+           int signals) {
+  const int epoll = ::epoll_create1(EPOLL_CLOEXEC);
+  const auto watch = [epoll](int fd) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    return ::epoll_ctl(epoll, EPOLL_CTL_ADD, fd, &ev) == 0;
+  };
+  if (epoll < 0 || !watch(listener.fd()) || !watch(signals)) {
+    std::perror("abd_replicad: epoll");
+    if (epoll >= 0) ::close(epoll);
+    return false;
+  }
+  std::unordered_map<int, Conn> conns;  // by fd; closing one unwatches it
+  epoll_event events[64];
+  bool ok = true;
+  for (bool stop = false; !stop;) {
+    const int ready = ::epoll_wait(epoll, events, 64, -1);
+    if (ready < 0 && errno != EINTR) {
+      std::perror("abd_replicad: epoll_wait");
+      ok = false;
+      break;
+    }
+    for (int i = 0; i < ready; ++i) {
+      const int fd = events[i].data.fd;
+      if (fd == signals) {
+        stop = true;
+      } else if (fd == listener.fd()) {
+        while (auto sock = listener.accept_pending()) {
+          const int conn_fd = sock->fd();
+          if (watch(conn_fd)) conns[conn_fd] = Conn{std::move(*sock), {}};
+        }
+      } else if (const auto it = conns.find(fd); it != conns.end()) {
+        Conn& conn = it->second;
+        if (!conn.inbound.fill(conn.sock) ||
+            !serve_frames(id, replica, conn)) {
+          conns.erase(it);  // EOF, error, or a dropped connection
+        }
+      }
+    }
+  }
+  ::close(epoll);
+  return ok;
+}
 
 int run(const Args& args) {
   std::string error;
@@ -192,6 +269,14 @@ int run(const Args& args) {
   Replica replica{{}, abd::ReplicaCore<net::wire::Bytes>(std::move(state)),
                   std::move(wal)};
 
+  // SIGTERM and SIGINT are blocked (main does it before any thread
+  // exists) and arrive here as a readable fd instead.
+  const sigset_t mask = stop_signals();
+  const int signals = ::signalfd(-1, &mask, SFD_NONBLOCK | SFD_CLOEXEC);
+  if (signals < 0) {
+    std::perror("abd_replicad: signalfd");
+    return 1;
+  }
   net::Listener listener = net::Listener::open(args.peers[args.id], &error);
   if (!listener.valid()) {
     std::fprintf(stderr, "abd_replicad: %s\n", error.c_str());
@@ -202,30 +287,14 @@ int run(const Args& args) {
               static_cast<unsigned long long>(epoch));
   std::fflush(stdout);
 
-  std::thread resyncer([&] { resync(args.id, args, replica); });
-  std::list<Handler> handlers;
-  while (!g_stop.load(std::memory_order_acquire)) {
-    for (auto it = handlers.begin(); it != handlers.end();) {
-      if (!it->done.load(std::memory_order_acquire)) {
-        ++it;
-        continue;
-      }
-      it->thread.join();
-      it = handlers.erase(it);
-    }
-    auto conn = listener.accept(250ms);
-    if (!conn.has_value()) continue;
-    Handler& handler = handlers.emplace_back();
-    handler.thread = std::thread([&replica, &handler, id = args.id,
-                                  sock = std::move(*conn)]() mutable {
-      serve_connection(id, replica, std::move(sock));
-      handler.done.store(true, std::memory_order_release);
-    });
-  }
+  std::atomic<bool> stop{false};
+  std::thread resyncer([&] { resync(args.id, args, replica, stop); });
+  const bool served = serve(args.id, replica, listener, signals);
+  stop.store(true, std::memory_order_release);
   listener.close();
-  for (auto& handler : handlers) handler.thread.join();
   resyncer.join();
-  return 0;
+  ::close(signals);
+  return served ? 0 : 1;
 }
 
 }  // namespace
@@ -255,8 +324,10 @@ int main(int argc, char** argv) {
   }
   args.peers = *parsed;
 
-  signal(SIGTERM, asnap::on_signal);
-  signal(SIGINT, asnap::on_signal);
+  // Blocked before the resync thread exists, so every thread inherits the
+  // mask and the loop's signalfd is the only place they are delivered.
+  const sigset_t mask = asnap::stop_signals();
+  ::pthread_sigmask(SIG_BLOCK, &mask, nullptr);
   signal(SIGPIPE, SIG_IGN);
   return asnap::run(args);
 }

@@ -91,6 +91,16 @@ struct Args {
   std::uint64_t regs = 16;
 };
 
+/// Compact `wal` to `state`. False when the WAL now refuses every append:
+/// the rename could not be made durable (last_error() kIo), and only a
+/// restart compacts again, so the daemon must exit. A compaction that
+/// failed before its rename keeps the old log and is simply tried again.
+/// Both callers compact right after a successful append, so last_error()
+/// reads kNone going in.
+bool compact(abd::ReplicaWal& wal, const abd::WalState& state) {
+  return wal.compact(state) || wal.last_error() == abd::WalError::kNone;
+}
+
 /// The replica shared by the loop and the resync thread. One mutex covers
 /// core + WAL so compaction can't race appends.
 struct Replica {
@@ -98,6 +108,9 @@ struct Replica {
   std::mutex mu;
   abd::ReplicaCore<net::wire::Bytes> core;
   std::unique_ptr<abd::ReplicaWal> wal;
+  /// Set when a compaction left the WAL refusing appends; the loop then
+  /// exits 1 rather than serve reads while dropping every write.
+  std::atomic<bool> wal_lost{false};
 
   /// core.handle(req), with a WRITE that advances the replica made durable
   /// first. False when that append failed: the write is neither applied
@@ -110,7 +123,10 @@ struct Replica {
       return false;
     }
     *reply = core.handle(req);
-    if (advances && wal->bytes() > kCompactBytes) wal->compact(core.state());
+    if (advances && wal->bytes() > kCompactBytes &&
+        !compact(*wal, core.state())) {
+      wal_lost.store(true, std::memory_order_release);
+    }
     return true;
   }
 };
@@ -189,7 +205,8 @@ void resync(std::size_t id, const Args& args, Replica& replica,
 }
 
 /// The event loop: accept, receive, serve, until SIGTERM/SIGINT arrive on
-/// `signals` (true) or epoll fails (false). Level-triggered, so a
+/// `signals` (true), or epoll fails or the WAL is lost (false), so the
+/// daemon exits 1 and its supervisor restarts it. Level-triggered, so a
 /// connection with more bytes ready than one receive takes is simply
 /// reported again on the next pass.
 bool serve(std::size_t id, Replica& replica, net::Listener& listener,
@@ -233,6 +250,11 @@ bool serve(std::size_t id, Replica& replica, net::Listener& listener,
         }
       }
     }
+    if (replica.wal_lost.load(std::memory_order_acquire)) {
+      std::fprintf(stderr, "abd_replicad: compacted log not durable\n");
+      ok = false;
+      break;
+    }
   }
   ::close(epoll);
   return ok;
@@ -264,7 +286,10 @@ int run(const Args& args) {
     return 1;
   }
   // Bound log growth across crash/restart cycles.
-  wal->compact(state);
+  if (!compact(*wal, state)) {
+    std::fprintf(stderr, "abd_replicad: compacted log not durable\n");
+    return 1;
+  }
   const std::uint64_t epoch = state.epoch;
   Replica replica{{}, abd::ReplicaCore<net::wire::Bytes>(std::move(state)),
                   std::move(wal)};

@@ -227,29 +227,31 @@ class AbdCluster {
   std::uint64_t messages_sent() const { return net_.messages_sent(); }
   std::size_t alive_count() const { return net_.alive_count(); }
 
-  /// Counters aggregated over all clients (see abd::Counters).
+  /// Counters summed over all clients (see abd::Counters).
   /// Protocol rounds started (query / write / write-back), NOT counting
   /// retransmission waves within a round — see retransmits_sent() for those.
-  std::uint64_t protocol_rounds() const { return load(counters_.rounds); }
+  std::uint64_t protocol_rounds() const { return total(&Counters::rounds); }
   /// Reads that returned after the query round alone (write-back skipped).
-  std::uint64_t fast_reads() const { return load(counters_.fast_reads); }
+  std::uint64_t fast_reads() const { return total(&Counters::fast_reads); }
   /// Reads that wanted the fast path but fell back to write-back.
   std::uint64_t fast_fallbacks() const {
-    return load(counters_.fast_fallbacks);
+    return total(&Counters::fast_fallbacks);
   }
   std::uint64_t retransmits_sent() const {
-    return load(counters_.retransmits);
+    return total(&Counters::retransmits);
   }
   std::uint64_t dup_replies_ignored() const {
-    return load(counters_.dup_replies);
+    return total(&Counters::dup_replies);
   }
   std::uint64_t round_timeouts() const {
-    return load(counters_.round_timeouts);
+    return total(&Counters::round_timeouts);
   }
-  std::uint64_t breaker_skips() const { return load(counters_.breaker_skips); }
-  std::uint64_t fail_fasts() const { return load(counters_.fail_fasts); }
+  std::uint64_t breaker_skips() const {
+    return total(&Counters::breaker_skips);
+  }
+  std::uint64_t fail_fasts() const { return total(&Counters::fail_fasts); }
   std::uint64_t stale_epoch_replies() const {
-    return load(counters_.stale_epoch_replies);
+    return total(&Counters::stale_epoch_replies);
   }
 
   /// Test hook: a replica's current timestamp for one register.
@@ -274,10 +276,13 @@ class AbdCluster {
   /// Replies older than the incarnation the cluster knows are stale. The
   /// RTT-derived RTO is used only while the breaker is armed, floored at
   /// 200 us: a mailbox handoff is far below a socket round trip, and the
-  /// socket floor slowed lossy in-process runs (DESIGN.md §11).
+  /// socket floor slowed lossy in-process runs. Reads send full waves: a
+  /// copy is one mailbox push, and asking a majority first made abd-sim
+  /// slower (DESIGN.md §11).
   struct SimPort {
     static constexpr bool kAlwaysAdaptiveRto = false;
     static constexpr std::chrono::microseconds kMinRto{200};
+    static constexpr bool kMajorityFirst = false;
     AbdCluster* cluster;
     net::NodeId id;
 
@@ -314,12 +319,15 @@ class AbdCluster {
 
   struct Node {
     Node(AbdCluster* cluster, net::NodeId id, ReplicaState<V> state)
-        : client(SimPort{cluster, id}, cluster->config_, cluster->counters_),
+        : client(SimPort{cluster, id}, cluster->config_, counters),
           replica(std::move(state)) {}
 
     /// One client operation (or recover()) at a time: they share the
     /// node's client mailbox, so interleaving them would steal replies.
     std::mutex op_mu;
+    /// This node's client's own counters: clients that shared one set
+    /// contended on its cache line in every round.
+    Counters counters;
     Client<V, SimPort> client;
     /// Guards the replica, shared by its server thread, recover() and the
     /// test hooks (which may run while the server serves).
@@ -327,6 +335,12 @@ class AbdCluster {
     ReplicaCore<V> replica;
     std::jthread server;
   };
+
+  std::uint64_t total(std::atomic<std::uint64_t> Counters::*counter) const {
+    std::uint64_t sum = 0;
+    for (const Node& node : nodes_) sum += load(node.counters.*counter);
+    return sum;
+  }
 
   void start_server(std::size_t id) {
     nodes_[id].server = std::jthread([this, id](std::stop_token st) {
@@ -355,7 +369,6 @@ class AbdCluster {
 
   net::Network net_;
   AbdConfig config_;
-  Counters counters_;
   std::vector<std::uint64_t> write_ts_;  ///< per register; owner-only access
   /// Incarnation epoch per node, bumped by each effective recover().
   std::vector<std::atomic<std::uint64_t>> epochs_;

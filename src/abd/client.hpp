@@ -9,9 +9,18 @@
 //   query:  query round only, the resync of a recovering replica.
 //
 // One loop runs every round: send a wave, wait on the transport for a
-// reply until the retransmission timer or the operation deadline, whichever
-// is first, feed the round. Retransmissions reuse the request id: replica
-// handlers are idempotent.
+// reply until the retransmission timer, the hedge or the operation
+// deadline, whichever is first, feed the round. Retransmissions reuse the
+// request id: replica handlers are idempotent.
+//
+// Majority-first reads (transports with kMajorityFirst): a read's query
+// round sends its first wave only to the majority that answered the
+// client's last clean round first, and widens to the other replicas if
+// that majority has not answered within one smoothed RTT of its slowest
+// member. Every other wave still goes to every replica: writes,
+// write-backs, confirms, resync queries and retransmission waves. A round
+// that times out or retransmits leaves no preference, so the next read
+// asks every replica.
 //
 // A Transport is a small handle providing
 //   std::size_t size() const;         the replicas, indexed 0..size()-1
@@ -31,6 +40,14 @@
 //                                     only while the breaker is armed
 //   static constexpr std::chrono::microseconds kMinRto;
 //                                     the floor of that RTO (round_rto)
+//   static constexpr bool kMajorityFirst;
+//                                     reads ask a majority first, or every
+//                                     replica at once. Worth it where each
+//                                     copy of a request costs a syscall,
+//                                     TCP work and a replica wakeup (the
+//                                     socket transport); in process a copy
+//                                     is a mailbox push and full waves are
+//                                     faster (DESIGN.md §11)
 // See AbdCluster::SimPort (a Mailbox on the SimNetwork) and
 // RemoteRegisterClient::TcpPort (net::TcpBus: the op thread reads its own
 // sockets). Everything the client knows of time passes through wait() and
@@ -38,6 +55,7 @@
 // them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -81,7 +99,8 @@ class Client {
   std::optional<Versioned<V>> read(std::uint64_t reg) {
     const auto deadline = Clock::now() + config_.op_deadline;
     const Frame req = request(net::wire::kReadReq, reg);
-    QuorumRound<V> quorum = round(req, /*breaker=*/true);
+    QuorumRound<V> quorum =
+        round(req, /*breaker=*/true, Transport::kMajorityFirst);
     if (run(quorum, req, deadline) != OpStatus::kOk) return std::nullopt;
     Versioned<V> best{quorum.best_ts(), std::move(quorum.best_value())};
     const auto pid = static_cast<std::uint32_t>(transport_.self());
@@ -128,7 +147,8 @@ class Client {
 
   /// A round of `req`. It starts from the RTT-derived RTO when the transport
   /// always adapts or the breaker is armed, from initial_rto otherwise.
-  QuorumRound<V> round(const Frame& req, bool breaker) {
+  QuorumRound<V> round(const Frame& req, bool breaker,
+                       bool majority_first = false) {
     Suspects suspects = breaker ? transport_.suspects() : Suspects{};
     const bool adaptive = Transport::kAlwaysAdaptiveRto || suspects != nullptr;
     return QuorumRound<V>(
@@ -136,8 +156,20 @@ class Client {
         {static_cast<std::uint32_t>(transport_.self()), req.rid, majority(),
          adaptive ? round_rto(peers_, config_, Transport::kMinRto)
                   : config_.initial_rto,
-         std::move(suspects)},
+         std::move(suspects), majority_first},
         Clock::now());
+  }
+
+  /// Prefer the first majority() replicas a clean round counted; a round
+  /// that failed or retransmitted leaves no preference.
+  void remember(const QuorumRound<V>& quorum, OpStatus status) {
+    if constexpr (Transport::kMajorityFirst) {
+      const bool clean = status == OpStatus::kOk && !quorum.retransmitted();
+      for (std::size_t to = 0; to < peers_.size(); ++to) {
+        const std::size_t rank = quorum.rank(to);
+        peers_[to].preferred = clean && rank != 0 && rank <= majority();
+      }
+    }
   }
 
   /// Write round of (reg, ts, value); once a majority acked, tell every
@@ -162,14 +194,25 @@ class Client {
     return status;
   }
 
-  /// Drive one round until it counts its quorum, the operation deadline
-  /// passes, the breaker fails it fast, or the transport closes.
+  /// Drive one round, then remember who answered it first.
   OpStatus run(QuorumRound<V>& quorum, const Frame& req,
                Clock::time_point deadline) {
+    const OpStatus status = drive(quorum, req, deadline);
+    remember(quorum, status);
+    return status;
+  }
+
+  /// Drive one round until it counts its quorum, the operation deadline
+  /// passes, the breaker fails it fast, or the transport closes.
+  OpStatus drive(QuorumRound<V>& quorum, const Frame& req,
+                 Clock::time_point deadline) {
     const auto pid = static_cast<std::uint32_t>(transport_.self());
     const std::uint8_t want = req.type == net::wire::kReadReq
                                   ? net::wire::kReadReply
                                   : net::wire::kWriteAck;
+    const auto send = [&](std::size_t to) {
+      transport_.send(to, req, deadline);
+    };
     auto now = Clock::now();
     while (!quorum.done()) {
       if (now >= deadline || quorum.starved(now)) {
@@ -178,12 +221,12 @@ class Client {
         return OpStatus::kTimeout;
       }
       if (now >= quorum.retransmit_at()) {
-        quorum.wave(now, [&](std::size_t to) {
-          transport_.send(to, req, deadline);
-        });
+        quorum.wave(now, send);
+      } else if (now >= quorum.widen_at()) {
+        quorum.widen(now, send);
       }
-      auto reply =
-          transport_.wait(std::min(deadline, quorum.retransmit_at()));
+      auto reply = transport_.wait(
+          std::min({deadline, quorum.retransmit_at(), quorum.widen_at()}));
       now = Clock::now();
       if (!reply.has_value()) {
         if (!transport_.closed()) continue;

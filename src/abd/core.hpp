@@ -17,6 +17,13 @@
 //     counted; with the circuit breaker armed it also skips suspected
 //     replicas, except on every kProbeEvery-th wave, so a healed replica is
 //     re-admitted without waiting for the detector;
+//   * majority-first: a round told to may send its first wave only to the
+//     client's preferred replicas (Peer::preferred, the first responders of
+//     its last clean round). If the quorum is not counted within one
+//     smoothed RTT of the slowest of them, widen() sends the request once
+//     to every replica not yet asked. That hedge is not a retransmission:
+//     the backoff does not grow and each spare's reply is a Karn-clean RTT
+//     sample;
 //   * dedup: a replica counts once, however many replies it sends;
 //   * epoch filter: a reply stamped below the replica's epoch floor (the
 //     highest incarnation the client has heard from it) comes from a
@@ -116,8 +123,9 @@ inline constexpr int kRtoPerRtt = 4;
 /// suspected replicas.
 inline constexpr std::uint32_t kProbeEvery = 4;
 
-/// A client's protocol counters: relaxed atomics, so stats readers never
-/// contend with rounds and one set can serve every client of a cluster.
+/// A client's protocol counters: relaxed atomics, so a stats reader on
+/// another thread never races a round. One set per client: clients that
+/// share one write its cache line from every core in every round.
 struct Counters {
   /// Rounds started (query / write / write-back), not counting the
   /// retransmission waves within a round.
@@ -125,6 +133,10 @@ struct Counters {
   std::atomic<std::uint64_t> fast_reads{0};      ///< write-back skipped
   std::atomic<std::uint64_t> fast_fallbacks{0};  ///< fast path refused
   std::atomic<std::uint64_t> retransmits{0};     ///< retransmission waves
+  /// Request frames sent by rounds: first waves, hedges and retransmission
+  /// waves (confirms are not a round's).
+  std::atomic<std::uint64_t> requests{0};
+  std::atomic<std::uint64_t> hedges{0};  ///< rounds that widened
   std::atomic<std::uint64_t> dup_replies{0};
   std::atomic<std::uint64_t> round_timeouts{0};
   std::atomic<std::uint64_t> breaker_skips{0};
@@ -145,6 +157,9 @@ struct Peer {
   std::uint64_t epoch_floor = 0;  ///< highest incarnation heard from it
   /// EWMA (alpha = 1/4) of Karn-clean RTT samples; 0 = no sample yet.
   std::chrono::nanoseconds rtt{0};
+  /// Among the first majority to answer the client's last clean round
+  /// (completed without a retransmission wave); see Params::majority_first.
+  bool preferred = false;
 };
 
 /// The RTO rule: clamp(kRtoPerRtt x the slowest replica's estimate, floor,
@@ -177,6 +192,9 @@ class QuorumRound {
     std::size_t needed = 0;  ///< distinct replies the round must count
     std::chrono::microseconds rto{0};  ///< first retransmission timeout
     Suspects suspects{};     ///< the breaker, or empty when not armed
+    /// Send the first wave only to the preferred peers, when there are
+    /// any, and widen to the rest after one RTT (see widen_at).
+    bool majority_first = false;
   };
 
   /// `peers`, `config` and `counters` must outlive the round. The first
@@ -201,27 +219,58 @@ class QuorumRound {
   /// exponentially growing retransmission timer.
   Clock::time_point retransmit_at() const { return retransmit_at_; }
 
+  /// When the round widens: one smoothed RTT of the slowest replica of a
+  /// majority-first wave after that wave (one with no estimate counts 0);
+  /// never when no replica was held back, or once the round has widened.
+  Clock::time_point widen_at() const { return widen_at_; }
+
   /// Transmit the next wave through `send(replica)` and arm its timer.
   template <typename Send>
   void wave(Clock::time_point now, Send&& send) {
-    const bool probe = ++waves_ % kProbeEvery == 0;
-    if (waves_ > 1) {
+    const bool first = ++waves_ == 1;
+    const bool probe = waves_ % kProbeEvery == 0;
+    if (!first) {
       bump(counters_.retransmits);
       ASNAP_TRACE_EVENT(trace::EventKind::kAbdRetransmit, p_.pid, p_.rid);
       backoff_.grow();
     }
+    const bool preferred_only =
+        first && p_.majority_first &&
+        std::any_of(peers_.begin(), peers_.end(),
+                    [](const Peer& peer) { return peer.preferred; });
+    bool held_back = false;
+    std::chrono::nanoseconds slowest{0};
     for (std::size_t to = 0; to < peers_.size(); ++to) {
       if (counted_[to]) continue;
-      if (p_.suspects && !probe && p_.suspects(to)) {
-        bump(counters_.breaker_skips);
-        ASNAP_TRACE_EVENT(trace::EventKind::kBreakerSkip, p_.pid, to);
+      if (preferred_only && !peers_[to].preferred) {
+        held_back = true;
         continue;
       }
-      if (sends_[to]++ == 0) first_tx_[to] = now;
-      send(to);
+      transmit(to, now, probe, send);
+      slowest = std::max(slowest, peers_[to].rtt);
     }
     retransmit_at_ = now + backoff_.current();
+    widen_at_ = held_back ? now + slowest : Clock::time_point::max();
   }
+
+  /// The hedge of a majority-first round: send the request once to every
+  /// replica not asked yet. No retransmission is counted, the backoff does
+  /// not grow, and a spare's reply is an RTT sample like any single send.
+  template <typename Send>
+  void widen(Clock::time_point now, Send&& send) {
+    widen_at_ = Clock::time_point::max();
+    bump(counters_.hedges);
+    for (std::size_t to = 0; to < peers_.size(); ++to) {
+      if (sends_[to] == 0 && !counted_[to]) transmit(to, now, false, send);
+    }
+  }
+
+  /// Whether a retransmission wave was sent.
+  bool retransmitted() const { return waves_ > 1; }
+
+  /// The order in which `replica`'s reply was counted: 1 for the first, 0
+  /// when it was not counted.
+  std::size_t rank(std::size_t replica) const { return counted_[replica]; }
 
   /// Feed one reply to this round's request (rid and type already matched)
   /// from replica `from`, received at `now`.
@@ -238,8 +287,7 @@ class QuorumRound {
       bump(counters_.dup_replies);
       return;
     }
-    counted_[from] = 1;
-    ++counted_count_;
+    counted_[from] = ++counted_count_;
     if (sends_[from] == 1) {  // Karn's rule: only an unambiguous sample
       const auto rtt = std::max<std::chrono::nanoseconds>(
           now - first_tx_[from], std::chrono::nanoseconds(1));
@@ -293,6 +341,20 @@ class QuorumRound {
   V& best_value() { return best_value_; }
 
  private:
+  /// Send to `to` unless the breaker holds it back from this wave.
+  template <typename Send>
+  void transmit(std::size_t to, Clock::time_point now, bool probe,
+                Send& send) {
+    if (p_.suspects && !probe && p_.suspects(to)) {
+      bump(counters_.breaker_skips);
+      ASNAP_TRACE_EVENT(trace::EventKind::kBreakerSkip, p_.pid, to);
+      return;
+    }
+    if (sends_[to]++ == 0) first_tx_[to] = now;
+    bump(counters_.requests);
+    send(to);
+  }
+
   std::size_t uncounted_suspects() const {
     std::size_t suspected = 0;
     for (std::size_t j = 0; j < peers_.size(); ++j) {
@@ -323,10 +385,11 @@ class QuorumRound {
   Params p_;
   std::vector<std::uint32_t> sends_;  ///< transmissions per replica
   std::vector<Clock::time_point> first_tx_;
-  std::vector<char> counted_;
+  std::vector<std::size_t> counted_;  ///< rank(): 0 = not counted
   std::size_t counted_count_ = 0;
   RetryBackoff backoff_;
   Clock::time_point retransmit_at_;
+  Clock::time_point widen_at_ = Clock::time_point::max();
   std::uint32_t waves_ = 0;
   std::optional<Clock::time_point> starved_since_;
   std::uint64_t best_ts_ = 0;

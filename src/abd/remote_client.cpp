@@ -36,7 +36,9 @@ RemoteRegisterClient::Stats RemoteRegisterClient::stats() const {
                load(counters_.retransmits),
                load(counters_.dup_replies),
                load(counters_.stale_epoch_replies),
-               load(counters_.round_timeouts)};
+               load(counters_.round_timeouts),
+               load(counters_.requests),
+               load(counters_.hedges)};
 }
 
 }  // namespace asnap::abd

@@ -21,7 +21,9 @@
 // from replies (the client tracks the highest per replica); and every
 // round's retransmission timeout derives from measured RTTs — on a 25
 // ms-delay link the first retransmit waits ~4x the observed RTT instead of
-// firing a futile wave every initial_rto. The client starts no thread.
+// firing a futile wave every initial_rto; and a read asks only the
+// majority that answered the last clean round first, hedging to the other
+// replicas after one RTT (client.hpp). The client starts no thread.
 //
 // One operation at a time per client (op_mu_), which is also what gives
 // the bus its one user at a time: concurrent load comes from many clients,
@@ -54,6 +56,10 @@ class RemoteRegisterClient {
     std::uint64_t dup_replies = 0;
     std::uint64_t stale_epoch_replies = 0;
     std::uint64_t round_timeouts = 0;
+    /// Request frames the rounds sent (first waves, hedges, retransmission
+    /// waves): the socket path's messages, confirms aside.
+    std::uint64_t requests = 0;
+    std::uint64_t hedges = 0;  ///< majority-first reads that widened
 
     /// Totals over several clients.
     Stats& operator+=(const Stats& o) {
@@ -64,6 +70,8 @@ class RemoteRegisterClient {
       dup_replies += o.dup_replies;
       stale_epoch_replies += o.stale_epoch_replies;
       round_timeouts += o.round_timeouts;
+      requests += o.requests;
+      hedges += o.hedges;
       return *this;
     }
   };
@@ -92,12 +100,14 @@ class RemoteRegisterClient {
 
  private:
   /// The socket transport: epochs are learned from replies alone, there is
-  /// no failure detector, and every round starts from the RTT-derived RTO,
+  /// no failure detector, every round starts from the RTT-derived RTO,
   /// floored where retransmits would race the kernel's own delivery on
-  /// loopback.
+  /// loopback, and reads ask a majority first: every copy of a request
+  /// costs a send, TCP work and a replica wakeup.
   struct TcpPort {
     static constexpr bool kAlwaysAdaptiveRto = true;
     static constexpr std::chrono::microseconds kMinRto{500};
+    static constexpr bool kMajorityFirst = true;
     net::TcpBus* bus;
     std::uint64_t client_id;
 

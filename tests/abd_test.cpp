@@ -53,7 +53,8 @@ Frame read_reply(std::uint64_t ts, int value, bool confirmed = false) {
 /// One client's view of n replicas plus a round over them.
 struct RoundFixture {
   explicit RoundFixture(std::size_t n, AbdConfig cfg = {},
-                        Suspects suspects = {}, std::size_t needed = 0)
+                        Suspects suspects = {}, std::size_t needed = 0,
+                        bool majority_first = false)
       : config(cfg), peers(n) {
     round.emplace(peers, config, counters,
                   QuorumRound<int>::Params{
@@ -61,7 +62,8 @@ struct RoundFixture {
                       .rid = 7,
                       .needed = needed != 0 ? needed : n / 2 + 1,
                       .rto = 1ms,
-                      .suspects = std::move(suspects)},
+                      .suspects = std::move(suspects),
+                      .majority_first = majority_first},
                   kT0);
   }
 
@@ -69,6 +71,13 @@ struct RoundFixture {
   std::set<std::size_t> wave(Clock::time_point now) {
     std::set<std::size_t> targets;
     round->wave(now, [&](std::size_t to) { targets.insert(to); });
+    return targets;
+  }
+
+  /// Widen at `now` and return the replicas the hedge targeted.
+  std::set<std::size_t> widen(Clock::time_point now) {
+    std::set<std::size_t> targets;
+    round->widen(now, [&](std::size_t to) { targets.insert(to); });
     return targets;
   }
 
@@ -170,6 +179,65 @@ TEST(QuorumRound, RetransmitWavesSkipCountedReplicasOnABackoffTimer) {
   EXPECT_EQ(f.round->retransmit_at(), t1 + 2ms) << "the timeout doubles";
   EXPECT_EQ(load(f.counters.retransmits), 1u);
   EXPECT_EQ(load(f.counters.rounds), 1u);
+}
+
+TEST(QuorumRound, MajorityFirstWaveAsksOnlyThePreferredReplicas) {
+  RoundFixture f(5, {}, {}, 0, /*majority_first=*/true);
+  for (const std::size_t r : {0, 2, 3}) f.peers[r].preferred = true;
+  f.peers[0].rtt = 30us;
+  f.peers[2].rtt = 50us;
+  f.peers[3].rtt = 40us;
+  f.peers[4].rtt = 900us;  // not asked, so it does not set the hedge
+  EXPECT_EQ(f.wave(kT0), (std::set<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(f.round->widen_at(), kT0 + 50us)
+      << "one smoothed RTT of the slowest replica asked";
+  EXPECT_EQ(f.round->retransmit_at(), kT0 + 1ms);
+  EXPECT_EQ(load(f.counters.requests), 3u);
+
+  // Without the rule, or with no preference yet, the wave asks everyone
+  // and the round never widens.
+  for (const bool majority_first : {false, true}) {
+    RoundFixture full(5, {}, {}, 0, majority_first);
+    if (!majority_first) full.peers[0].preferred = true;
+    EXPECT_EQ(full.wave(kT0), (std::set<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(full.round->widen_at(), Clock::time_point::max());
+  }
+}
+
+TEST(QuorumRound, WidenAsksOnlyReplicasNeverAskedAndIsNoRetransmission) {
+  RoundFixture f(5, {}, {}, 0, /*majority_first=*/true);
+  for (const std::size_t r : {1, 2, 4}) f.peers[r].preferred = true;
+  f.peers[1].rtt = f.peers[2].rtt = f.peers[4].rtt = 40us;
+  EXPECT_EQ(f.wave(kT0), (std::set<std::size_t>{1, 2, 4}));
+  f.round->on_reply(2, read_reply(0, 0), kT0 + 20us);
+  const auto hedge = kT0 + 40us;
+  EXPECT_EQ(f.widen(hedge), (std::set<std::size_t>{0, 3}))
+      << "neither a counted replica nor a silent asked one is asked again";
+  EXPECT_EQ(f.round->widen_at(), Clock::time_point::max()) << "widens once";
+  EXPECT_EQ(f.round->retransmit_at(), kT0 + 1ms) << "the backoff is untouched";
+  EXPECT_EQ(load(f.counters.retransmits), 0u);
+  EXPECT_FALSE(f.round->retransmitted());
+  EXPECT_EQ(load(f.counters.hedges), 1u);
+  EXPECT_EQ(load(f.counters.requests), 5u) << "one request per replica";
+
+  // A widened spare was sent the request once: its reply is a sample,
+  // measured from the hedge.
+  f.round->on_reply(3, read_reply(0, 0), hedge + 70us);
+  EXPECT_EQ(f.peers[3].rtt, 70us);
+  f.round->on_reply(4, read_reply(0, 0), hedge + 80us);
+  EXPECT_TRUE(f.round->done());
+  EXPECT_EQ(f.round->rank(2), 1u) << "counted in reply order";
+  EXPECT_EQ(f.round->rank(3), 2u);
+  EXPECT_EQ(f.round->rank(4), 3u);
+  EXPECT_EQ(f.round->rank(1), 0u) << "silent: not counted";
+
+  // A retransmission wave still asks every uncounted replica.
+  RoundFixture g(3, {}, {}, 0, /*majority_first=*/true);
+  g.peers[0].preferred = g.peers[1].preferred = true;
+  g.wave(kT0);
+  EXPECT_EQ(g.wave(kT0 + 1ms), (std::set<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(g.round->widen_at(), Clock::time_point::max());
+  EXPECT_TRUE(g.round->retransmitted());
 }
 
 TEST(QuorumRound, KarnRuleSamplesOnlySingleTransmissions) {
@@ -321,40 +389,68 @@ TEST(ReplicaCore, InstallFromResyncNeverConfirms) {
 // --- Client over a scripted Transport ---------------------------------------
 
 /// A Transport (client.hpp) whose replies come from a script. Each wait()
-/// answers the latest request with the next scripted reply; with the script
-/// used up it sleeps to the deadline and returns nothing, as a silent
-/// network would.
+/// answers the latest request with the next scripted reply, `delay` after
+/// the wait began. A replica that was not sent that request stays silent,
+/// and so does a used-up script: the wait sleeps to its deadline and
+/// returns nothing, as a silent network would. Reads ask a majority first,
+/// as over sockets.
 struct ScriptedTransport {
   static constexpr bool kAlwaysAdaptiveRto = false;
   static constexpr std::chrono::microseconds kMinRto{200};
+  static constexpr bool kMajorityFirst = true;
   using Reply = std::function<net::wire::Received<int>(const Frame& request)>;
+  struct Sent {
+    std::size_t to;
+    Frame frame;
+  };
   struct Script {
-    std::vector<Frame> sent;
+    std::vector<Sent> sent;
     std::deque<Reply> replies;
+    Clock::duration delay{0};
     bool closed = false;
     int waits = 0;
+
+    /// The replicas request `rid` was sent to.
+    std::set<std::size_t> asked(std::uint64_t rid) const {
+      std::set<std::size_t> to;
+      for (const Sent& s : sent) {
+        if (s.frame.rid == rid) to.insert(s.to);
+      }
+      return to;
+    }
+    std::uint64_t last_rid() const { return sent.back().frame.rid; }
   };
   Script* script;
 
   std::size_t size() const { return 3; }
   std::uint64_t self() const { return 9; }
-  void send(std::size_t, const Frame& frame, Clock::time_point) {
-    script->sent.push_back(frame);
+  void send(std::size_t to, const Frame& frame, Clock::time_point) {
+    script->sent.push_back({to, frame});
   }
   std::optional<net::wire::Received<int>> wait(Clock::time_point deadline) {
     ++script->waits;
     if (script->closed) return std::nullopt;
-    if (script->replies.empty()) {
-      std::this_thread::sleep_until(deadline);
-      return std::nullopt;
+    if (!script->replies.empty()) {
+      const Frame& latest = script->sent.back().frame;
+      auto next = script->replies.front()(latest);
+      if (script->asked(latest.rid).count(next.from) != 0) {
+        script->replies.pop_front();
+        std::this_thread::sleep_for(script->delay);
+        return next;
+      }
     }
-    Reply next = std::move(script->replies.front());
-    script->replies.pop_front();
-    return next(script->sent.back());
+    std::this_thread::sleep_until(deadline);
+    return std::nullopt;
   }
   bool closed() const { return script->closed; }
   std::uint64_t epoch_floor(std::size_t) const { return 0; }
   Suspects suspects() const { return {}; }
+};
+
+/// The scripted transport with the rule off: every read is a full wave,
+/// as in process.
+struct FullWaveTransport : ScriptedTransport {
+  static constexpr bool kMajorityFirst = false;
 };
 
 /// Replica `from` answering a request with (ts, value); `rids_back` > 0
@@ -369,14 +465,25 @@ ScriptedTransport::Reply answer(std::size_t from, std::uint64_t ts, int value,
   };
 }
 
+template <typename Transport = ScriptedTransport>
 struct ClientFixture {
   explicit ClientFixture(AbdConfig cfg = {}) : config(cfg) {}
   AbdConfig config;
   Counters counters;
   ScriptedTransport::Script script;
-  Client<int, ScriptedTransport> client{ScriptedTransport{&script}, config,
-                                        counters};
+  Client<int, Transport> client{Transport{{&script}}, config, counters};
 };
+
+/// Timing for the majority-first tests: no retransmission timer can fire
+/// within a test, and scripted replies that take `kLatency` give the
+/// client RTT estimates far above the time a test takes to process them.
+AbdConfig patient_config() {
+  AbdConfig cfg;
+  cfg.initial_rto = 2s;
+  cfg.max_rto = 2s;
+  return cfg;
+}
+constexpr auto kLatency = 50ms;
 
 TEST(ClientTransport, ReplyToAnEarlierRidIsSkipped) {
   ClientFixture f;
@@ -398,7 +505,89 @@ TEST(ClientTransport, TwoMatchingRepliesEndTheRoundWithTheAdoptedPair) {
   EXPECT_EQ(got->value, 50);
   EXPECT_EQ(f.script.waits, 2) << "a majority of 3 ends the round";
   EXPECT_EQ(f.script.sent.size(), 3u) << "one wave, no retransmission";
+  EXPECT_EQ(f.script.asked(f.script.last_rid()),
+            (std::set<std::size_t>{0, 1, 2}))
+      << "a resync query asks every replica";
   EXPECT_EQ(load(f.counters.retransmits), 0u);
+}
+
+TEST(ClientTransport, NextReadAsksTheFirstTwoRespondersOfThePreviousRound) {
+  ClientFixture f(patient_config());
+  f.script.delay = kLatency;
+  f.script.replies = {answer(2, 1, 10), answer(0, 1, 10)};
+  ASSERT_TRUE(f.client.read(0).has_value());
+  EXPECT_EQ(f.script.asked(f.script.last_rid()),
+            (std::set<std::size_t>{0, 1, 2}))
+      << "no preference yet: a full wave";
+
+  f.script.delay = 0s;
+  f.script.replies = {answer(0, 1, 10), answer(2, 1, 10)};
+  ASSERT_TRUE(f.client.read(0).has_value());
+  EXPECT_EQ(f.script.asked(f.script.last_rid()),
+            (std::set<std::size_t>{0, 2}));
+  EXPECT_EQ(load(f.counters.requests), 5u);
+  EXPECT_EQ(load(f.counters.hedges), 0u);
+
+  // A write still asks every replica.
+  f.script.replies = {answer(1, 2, 20), answer(2, 2, 20)};
+  ASSERT_EQ(f.client.write(0, 2, 20), OpStatus::kOk);
+  EXPECT_EQ(f.script.asked(f.script.sent[5].frame.rid),
+            (std::set<std::size_t>{0, 1, 2}));
+}
+
+TEST(ClientTransport, SilentPreferredReplicaIsCoveredByTheHedgeBeforeTheRto) {
+  ClientFixture f(patient_config());
+  f.script.delay = kLatency;
+  f.script.replies = {answer(0, 1, 10), answer(1, 1, 10)};
+  ASSERT_TRUE(f.client.read(0).has_value());  // prefers {0, 1}
+
+  // Replica 1 stays silent: replica 2, once asked, completes the quorum.
+  f.script.delay = 0s;
+  f.script.replies = {answer(0, 1, 10), answer(2, 1, 10)};
+  const auto start = Clock::now();
+  ASSERT_TRUE(f.client.read(0).has_value());
+  const auto took = Clock::now() - start;
+  EXPECT_GE(took, kLatency) << "the hedge waits one RTT estimate";
+  EXPECT_LT(took, f.config.initial_rto) << "and comes before the RTO";
+  EXPECT_EQ(f.script.sent.back().to, 2u) << "the hedge asked the spare";
+  EXPECT_EQ(f.script.asked(f.script.last_rid()),
+            (std::set<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(load(f.counters.hedges), 1u);
+  EXPECT_EQ(load(f.counters.retransmits), 0u);
+  EXPECT_EQ(load(f.counters.requests), 6u) << "3 + 2 + the hedge's 1";
+
+  // The hedged round was clean: its first responders are preferred now.
+  f.script.replies = {answer(2, 1, 10), answer(0, 1, 10)};
+  ASSERT_TRUE(f.client.read(0).has_value());
+  EXPECT_EQ(f.script.asked(f.script.last_rid()),
+            (std::set<std::size_t>{0, 2}));
+}
+
+TEST(ClientTransport, TimedOutReadLeavesNoPreference) {
+  AbdConfig cfg = patient_config();
+  cfg.op_deadline = 100ms;
+  ClientFixture f(cfg);
+  f.script.replies = {answer(0, 1, 10), answer(1, 1, 10)};
+  ASSERT_TRUE(f.client.read(0).has_value());
+  f.script.replies.clear();  // nobody answers: the read times out
+  EXPECT_FALSE(f.client.read(0).has_value());
+  f.script.replies = {answer(0, 1, 10), answer(1, 1, 10)};
+  ASSERT_TRUE(f.client.read(0).has_value());
+  EXPECT_EQ(f.script.asked(f.script.last_rid()),
+            (std::set<std::size_t>{0, 1, 2}));
+}
+
+TEST(ClientTransport, TransportWithTheRuleOffKeepsFullWaves) {
+  ClientFixture<FullWaveTransport> f(patient_config());
+  for (int read = 0; read < 2; ++read) {
+    f.script.replies = {answer(2, 1, 10), answer(0, 1, 10)};
+    ASSERT_TRUE(f.client.read(0).has_value());
+    EXPECT_EQ(f.script.asked(f.script.last_rid()),
+              (std::set<std::size_t>{0, 1, 2}))
+        << "read " << read;
+  }
+  EXPECT_EQ(load(f.counters.requests), 6u);
+  EXPECT_EQ(load(f.counters.hedges), 0u);
 }
 
 TEST(ClientTransport, SilenceUntilTheDeadlineTimesOutAfterRetransmissions) {

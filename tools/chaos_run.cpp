@@ -461,6 +461,9 @@ void print_process_report(const std::string& label, const ProcessReport& r) {
       (unsigned long long)r.client.stale_epoch_replies,
       (unsigned long long)r.client.round_timeouts,
       (unsigned long long)r.reconnects);
+  std::printf("  requests    : %llu sent, %llu hedges\n",
+              (unsigned long long)r.client.requests,
+              (unsigned long long)r.client.hedges);
   print_rounds(r.client.protocol_rounds, r.client.fast_reads,
                r.client.fast_fallbacks);
   print_latency_and_verdict(r);
@@ -476,6 +479,8 @@ void print_process_json(const Cli& cli, const std::string& scenario,
       .field("restarts", r.proc.restarts)
       .field("restart_mean_ms", restart_mean_ms(r.proc))
       .field("retransmit_waves", r.client.retransmit_waves)
+      .field("requests", r.client.requests)
+      .field("hedges", r.client.hedges)
       .field("stale_epoch_replies", r.client.stale_epoch_replies)
       .field("round_timeouts", r.client.round_timeouts)
       .field("reconnects", r.reconnects)

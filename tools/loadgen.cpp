@@ -439,21 +439,29 @@ int report(Front& front, std::size_t total_words, const Options& opt) {
 
   // ABD round accounting (backend=cluster / backend=abd only): fast-read
   // hits vs slow-path fallbacks, and protocol rounds separate from the
-  // retransmit waves inside them.
-  bool have_rounds = false;
+  // retransmit waves inside them. The socket client also counts the
+  // request frames its rounds sent and the majority-first reads that
+  // hedged (backend=cluster only).
+  bool have_rounds = false, have_requests = false;
   std::uint64_t protocol_rounds = 0, fast_reads = 0, fast_fallbacks = 0;
+  std::uint64_t retransmit_waves = 0, requests = 0, hedges = 0;
   if constexpr (requires { front.backend().abd_stats(); }) {
     const auto s = front.backend().abd_stats();
     protocol_rounds = s.protocol_rounds;
     fast_reads = s.fast_reads;
     fast_fallbacks = s.fast_fallbacks;
-    have_rounds = true;
+    retransmit_waves = s.retransmit_waves;
+    requests = s.requests;
+    hedges = s.hedges;
+    have_rounds = have_requests = true;
   } else if constexpr (requires { front.backend().fast_reads(); }) {
     protocol_rounds = front.backend().protocol_rounds();
     fast_reads = front.backend().fast_reads();
     fast_fallbacks = front.backend().fast_fallbacks();
     have_rounds = true;
   }
+  const double requests_per_op =
+      ops > 0 ? static_cast<double>(requests) / ops : 0.0;
   const std::uint64_t fast_attempts = fast_reads + fast_fallbacks;
   const double fast_hit_ratio =
       fast_attempts ? static_cast<double>(fast_reads) /
@@ -514,6 +522,13 @@ int report(Front& front, std::size_t total_words, const Options& opt) {
                 static_cast<unsigned long long>(fast_fallbacks),
                 100.0 * fast_hit_ratio);
   }
+  if (have_requests) {
+    std::printf("  abd wire    %llu requests (%.2f per op), %llu hedges, "
+                "%llu retransmit waves\n",
+                static_cast<unsigned long long>(requests), requests_per_op,
+                static_cast<unsigned long long>(hedges),
+                static_cast<unsigned long long>(retransmit_waves));
+  }
   if (opt.checking()) {
     std::printf("  check       %s%s\n",
                 out.violations == 0 ? "LINEARIZABLE" : "VIOLATION",
@@ -561,6 +576,10 @@ int report(Front& front, std::size_t total_words, const Options& opt) {
       .field("fast_reads", fast_reads)
       .field("fast_fallbacks", fast_fallbacks)
       .field("fast_hit_ratio", fast_hit_ratio)
+      .field("retransmit_waves", retransmit_waves)
+      .field("requests", requests)
+      .field("requests_per_op", requests_per_op)
+      .field("hedges", hedges)
       .field("violations", out.violations);
   json.print();
   return out.violations == 0 ? 0 : 1;

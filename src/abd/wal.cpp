@@ -14,6 +14,13 @@ namespace asnap::abd {
 
 namespace {
 
+using net::wire::get_u16;
+using net::wire::get_u32;
+using net::wire::get_u64;
+using net::wire::put_u16;
+using net::wire::put_u32;
+using net::wire::put_u64;
+
 constexpr std::uint32_t kWalMagic = 0x314C4157;  // "WAL1" little-endian
 constexpr std::uint16_t kRecWrite = 1;
 constexpr std::uint16_t kRecEpoch = 2;
@@ -22,41 +29,6 @@ constexpr std::size_t kRecTrailer = 4;                     // crc32
 // Room is preallocated this much at a time: about 23,800 of the 44-byte
 // records a 12-byte value makes, so one append in that many grows the file.
 constexpr std::uint64_t kRoomChunk = 1 << 20;
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] |
-                                    (static_cast<std::uint16_t>(p[1]) << 8));
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 std::vector<std::uint8_t> encode_record(std::uint16_t type, std::uint64_t reg,
                                         std::uint64_t ts,

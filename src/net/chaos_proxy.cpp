@@ -14,10 +14,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Accept/receive poll slice: how quickly stop requests are noticed.
-constexpr std::chrono::milliseconds kPumpSlice{100};
 /// A held (reordered) frame is flushed after this long even when no
-/// successor shows up — reordering must not become an unbounded delay.
+/// successor shows up — reordering must not become an unbounded delay. It
+/// is a pump's only timer: with nothing held, a pump waits for its source
+/// without a timeout, and sever() wakes it.
 constexpr std::chrono::milliseconds kReorderFlush{50};
 /// Budget for one relayed write. Generous: it only matters when the far
 /// side stopped draining, where failing the session is the right outcome.
@@ -145,8 +145,11 @@ bool ChaosProxy::start(std::string* error) {
 
 void ChaosProxy::stop() {
   if (stopping_.exchange(true)) return;
+  // Wake each acceptor the way sever() wakes pumps: a shut-down listener
+  // polls as ready and accepts nothing, so accept() returns at once.
   for (auto& link : links_) {
     if (link->acceptor.joinable()) link->acceptor.request_stop();
+    link->listener.shutdown();
   }
   for (auto& link : links_) {
     if (link->acceptor.joinable()) link->acceptor.join();
@@ -173,7 +176,7 @@ void ChaosProxy::stop() {
 void ChaosProxy::accept_loop(std::stop_token st, std::size_t link) {
   LinkState& ls = *links_[link];
   while (!st.stop_requested()) {
-    auto conn = ls.listener.accept(kPumpSlice);
+    auto conn = ls.listener.accept(Clock::time_point::max());
 
     // Reap sessions whose pumps have both exited, so a chaotic run with
     // many resets does not accumulate dead threads.
@@ -241,6 +244,7 @@ void ChaosProxy::pump(std::stop_token st, std::size_t link, Dir dir,
       0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(dir) + 1);
   Rng rng(splitmix64(seed_state));
 
+  FrameBuffer inbound;
   wire::Frame frame;
   wire::Frame held;
   bool has_held = false;
@@ -276,14 +280,13 @@ void ChaosProxy::pump(std::stop_token st, std::size_t link, Dir dir,
 
   while (!st.stop_requested() &&
          !session->dead.load(std::memory_order_relaxed)) {
-    const RecvStatus status =
-        recv_frame(src, Clock::now() + kPumpSlice, &frame);
+    const RecvStatus status = inbound.receive(
+        src, has_held ? held_since + kReorderFlush : Clock::time_point::max(),
+        &frame);
     const auto now = Clock::now();
-    if (status == RecvStatus::kTimeout) {
-      if (has_held && now - held_since > kReorderFlush) {
-        has_held = false;
-        if (!forward(held)) break;
-      }
+    if (status == RecvStatus::kTimeout && has_held) {
+      has_held = false;
+      if (!forward(held)) break;
       continue;
     }
     if (status != RecvStatus::kOk) break;
@@ -318,9 +321,8 @@ void ChaosProxy::pump(std::stop_token st, std::size_t link, Dir dir,
     }
     if (f.stall_prob > 0 && rng.chance(f.stall_prob)) {
       // Forward only a prefix — at least the length word, never the whole
-      // frame — then go silent and drop the connection. A peer blocked in
-      // recv_frame classifies this as kMalformed; an event loop holds the
-      // partial frame until the drop.
+      // frame — then go silent and drop the connection. The receiver holds
+      // the partial frame in its FrameBuffer until the drop.
       const wire::Bytes bytes = wire::encode(frame);
       const std::size_t prefix = 4 + rng.below(bytes.size() - 4);
       send_all(dst, bytes.data(), prefix, Clock::now() + kSendBudget);

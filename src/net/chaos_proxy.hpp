@@ -15,15 +15,22 @@
 //   * throttle    — bandwidth cap via post-send sleeps;
 //   * stall       — forward only a PREFIX of a frame, then go silent and
 //                   drop the connection: the receiver sees a length prefix
-//                   with no body; a blocking reader (recv_frame) takes the
-//                   kMalformed mid-frame path, an event loop keeps the
-//                   partial frame until the drop (wire.hpp's
-//                   never-resynchronize rule);
+//                   with no body, and its FrameBuffer keeps the partial
+//                   frame until the drop (wire.hpp's never-resynchronize
+//                   rule);
 //   * reset       — close both sides mid-conversation;
 //   * blackhole   — read-and-discard one direction while the connection
 //                   stays open: A→B dead while B→A lives, the asymmetric
 //                   partition that pure process-killing can never produce;
 //   * flap        — a deterministic up/down square wave on the link.
+//
+// Threads: one acceptor per link and two pumps per relayed connection, one
+// per direction. None polls in slices: an acceptor waits in accept() for a
+// connection or for stop() to shut its listener down, and a pump waits on
+// its source socket for a frame or EOF, for its held (reordered) frame to
+// fall due, or for the session to be severed. A pump reads through a
+// FrameBuffer, so a partial frame from a stalled peer waits there until
+// that peer's EOF or stop().
 //
 // Faults are seeded per (link, direction, connection), so a chaos_run with
 // a fixed seed replays the same fault plan. The proxy never interprets ABD

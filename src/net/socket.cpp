@@ -1,7 +1,6 @@
 #include "net/socket.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -22,14 +21,11 @@ void set_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + std::strerror(errno);
 }
 
-bool set_blocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) == 0;
-}
-
-/// poll() one fd for `events`, bounded by `deadline`. Returns true when the
-/// fd is ready, false on timeout or poll error. EINTR retries.
+/// poll() one fd for `events`, bounded by `deadline` (time_point::max():
+/// no limit). Returns true when the fd is ready, false on timeout or poll
+/// error. EINTR retries.
 bool poll_until(int fd, short events, Clock::time_point deadline) {
+  const bool forever = deadline == Clock::time_point::max();
   for (;;) {
     const auto now = Clock::now();
     if (now >= deadline) return false;
@@ -39,7 +35,7 @@ bool poll_until(int fd, short events, Clock::time_point deadline) {
     pfd.fd = fd;
     pfd.events = events;
     pfd.revents = 0;
-    const int timeout_ms = static_cast<int>(left.count()) + 1;
+    const int timeout_ms = forever ? -1 : static_cast<int>(left.count()) + 1;
     const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc > 0) return true;
     if (rc == 0) continue;  // re-check deadline
@@ -47,6 +43,17 @@ bool poll_until(int fd, short events, Clock::time_point deadline) {
     return false;
   }
 }
+
+/// The body length a frame's u32 prefix declares, or nullopt when no frame
+/// can have it (shorter than the fixed header, or above kMaxBody).
+std::optional<std::uint32_t> body_length(const std::uint8_t* prefix) {
+  const std::uint32_t len = wire::get_u32(prefix);
+  if (len < wire::kHeaderBytes || len > wire::kMaxBody) return std::nullopt;
+  return len;
+}
+
+/// FrameBuffer::fill asks the kernel for at least this many bytes at once.
+constexpr std::size_t kMinRecv = 4096;
 
 bool make_addr(const Endpoint& at, sockaddr_in* out) {
   std::memset(out, 0, sizeof(*out));
@@ -149,12 +156,17 @@ Listener Listener::open(const Endpoint& at, std::string* error) {
   return lst;
 }
 
-namespace {
+std::optional<Socket> Listener::accept(Clock::time_point deadline) {
+  if (!sock_.valid() || !poll_until(sock_.fd(), POLLIN, deadline)) {
+    return std::nullopt;
+  }
+  return accept_pending();
+}
 
-/// accept4 with `flags` (SOCK_CLOEXEC always), TCP_NODELAY on the result.
-std::optional<Socket> accept_with(const Socket& listener, int flags) {
-  const int fd =
-      ::accept4(listener.fd(), nullptr, nullptr, flags | SOCK_CLOEXEC);
+std::optional<Socket> Listener::accept_pending() {
+  if (!sock_.valid()) return std::nullopt;
+  const int fd = ::accept4(sock_.fd(), nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
   if (fd < 0) return std::nullopt;
   Socket conn(fd);
   const int one = 1;
@@ -162,24 +174,13 @@ std::optional<Socket> accept_with(const Socket& listener, int flags) {
   return conn;
 }
 
-}  // namespace
-
-std::optional<Socket> Listener::accept(std::chrono::milliseconds timeout) {
-  if (!sock_.valid()) return std::nullopt;
-  if (!poll_until(sock_.fd(), POLLIN, Clock::now() + timeout)) {
-    return std::nullopt;
-  }
-  return accept_with(sock_, 0);
-}
-
-std::optional<Socket> Listener::accept_pending() {
-  if (!sock_.valid()) return std::nullopt;
-  return accept_with(sock_, SOCK_NONBLOCK);
+void Listener::shutdown() {
+  // A shut-down listener polls as ready (POLLHUP) and accepts nothing.
+  if (sock_.valid()) ::shutdown(sock_.fd(), SHUT_RDWR);
 }
 
 Socket tcp_connect(const Endpoint& to, std::chrono::milliseconds timeout,
                    std::string* error) {
-  // Non-blocking for the bounded connect; blocking again once connected.
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -216,30 +217,9 @@ Socket tcp_connect(const Endpoint& to, std::chrono::milliseconds timeout,
       return Socket();
     }
   }
-  if (!set_blocking(fd)) {
-    set_error(error, "fcntl");
-    return Socket();
-  }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return sock;
-}
-
-bool send_frame(const Socket& sock, const wire::Frame& frame) {
-  if (!sock.valid()) return false;
-  const wire::Bytes buf = wire::encode(frame);
-  std::size_t sent = 0;
-  while (sent < buf.size()) {
-    const ssize_t n = ::send(sock.fd(), buf.data() + sent, buf.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
 }
 
 bool send_all(const Socket& sock, const std::uint8_t* data, std::size_t len,
@@ -270,88 +250,6 @@ bool send_frame(const Socket& sock, const wire::Frame& frame,
                 Clock::time_point deadline) {
   const wire::Bytes buf = wire::encode(frame);
   return send_all(sock, buf.data(), buf.size(), deadline);
-}
-
-namespace {
-
-/// Extra time a receiver grants a frame whose FIRST bytes were consumed
-/// right at the caller's deadline. Callers poll in slices (the chaos proxy
-/// pumps call recv_frame in a loop); without the grace, a frame whose
-/// length prefix lands in the last microseconds of a slice — with its body
-/// already queued in the kernel — would be misclassified as a mid-frame
-/// stall and cost the whole connection. The grace is bounded, so a
-/// genuinely stalled peer (the adversary chaos_proxy injects) is still
-/// detected, just one window later.
-constexpr std::chrono::milliseconds kMidFrameGrace{100};
-
-/// Read exactly `want` bytes into `dst`, honoring the deadline. A timeout
-/// with zero bytes read — and no earlier part of the frame consumed
-/// (`mid_frame`) — is a clean kTimeout the caller may retry. Once any part
-/// of a frame has been consumed, expiry desynchronizes the framing: after
-/// one kMidFrameGrace extension it is reported as kMalformed (caller must
-/// drop the connection).
-RecvStatus recv_exact(const Socket& sock, std::uint8_t* dst, std::size_t want,
-                      Clock::time_point deadline, bool mid_frame) {
-  std::size_t got = 0;
-  auto limit = deadline;
-  bool graced = false;
-  while (got < want) {
-    if (!poll_until(sock.fd(), POLLIN, limit)) {
-      if (got == 0 && !mid_frame) return RecvStatus::kTimeout;
-      if (!graced) {
-        graced = true;
-        limit = std::max(limit, Clock::now() + kMidFrameGrace);
-        continue;
-      }
-      return RecvStatus::kMalformed;
-    }
-    const ssize_t n = ::recv(sock.fd(), dst + got, want - got, MSG_DONTWAIT);
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) return RecvStatus::kClosed;
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return RecvStatus::kClosed;
-  }
-  return RecvStatus::kOk;
-}
-
-/// The body length a frame's u32 prefix declares, or nullopt when no frame
-/// can have it (shorter than the fixed header, or above kMaxBody).
-std::optional<std::uint32_t> body_length(const std::uint8_t* prefix) {
-  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
-                            (static_cast<std::uint32_t>(prefix[1]) << 8) |
-                            (static_cast<std::uint32_t>(prefix[2]) << 16) |
-                            (static_cast<std::uint32_t>(prefix[3]) << 24);
-  if (len < wire::kHeaderBytes || len > wire::kMaxBody) return std::nullopt;
-  return len;
-}
-
-/// FrameBuffer::fill asks the kernel for at least this many bytes at once.
-constexpr std::size_t kMinRecv = 4096;
-
-}  // namespace
-
-RecvStatus recv_frame(const Socket& sock, Clock::time_point deadline,
-                      wire::Frame* out) {
-  if (!sock.valid()) return RecvStatus::kClosed;
-  std::uint8_t len_buf[4];
-  RecvStatus st =
-      recv_exact(sock, len_buf, sizeof(len_buf), deadline, /*mid_frame=*/false);
-  if (st != RecvStatus::kOk) return st;
-  const auto body_len = body_length(len_buf);
-  if (!body_len.has_value()) return RecvStatus::kMalformed;
-  wire::Bytes body(*body_len);
-  // The length prefix is already consumed: the body read is mid-frame, so
-  // expiry (after the grace) is kMalformed, never a retryable kTimeout.
-  st = recv_exact(sock, body.data(), body.size(), deadline, /*mid_frame=*/true);
-  if (st == RecvStatus::kTimeout) return RecvStatus::kMalformed;
-  if (st != RecvStatus::kOk) return st;
-  auto frame = wire::decode(body.data(), body.size());
-  if (!frame.has_value()) return RecvStatus::kMalformed;
-  *out = std::move(*frame);
-  return RecvStatus::kOk;
 }
 
 bool FrameBuffer::fill(const Socket& sock) {
@@ -393,6 +291,18 @@ PopStatus FrameBuffer::pop(wire::Frame* out) {
   *out = std::move(*frame);
   head_ += 4 + *body_len;
   return PopStatus::kFrame;
+}
+
+RecvStatus FrameBuffer::receive(const Socket& sock, Clock::time_point deadline,
+                                wire::Frame* out) {
+  for (;;) {
+    const PopStatus popped = pop(out);
+    if (popped == PopStatus::kFrame) return RecvStatus::kOk;
+    if (popped == PopStatus::kMalformed) return RecvStatus::kMalformed;
+    if (!sock.valid()) return RecvStatus::kClosed;
+    if (!poll_until(sock.fd(), POLLIN, deadline)) return RecvStatus::kTimeout;
+    if (!fill(sock)) return RecvStatus::kClosed;
+  }
 }
 
 }  // namespace asnap::net

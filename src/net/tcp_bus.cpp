@@ -51,14 +51,11 @@ bool TcpBus::ensure_connected(Link& link, std::size_t idx,
   // Cap the dial by both the configured connect timeout and the caller's
   // operation deadline — a round that has 5 ms left must not spend 100 ms
   // dialing a dead replica.
-  auto budget = options_.connect_timeout;
-  if (deadline != Clock::time_point{}) {
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    if (left <= std::chrono::milliseconds::zero()) return false;
-    budget = std::min(budget, left);
-  }
-  Socket sock = tcp_connect(replicas_[idx], budget);
+  const auto left =
+      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
+  if (left <= std::chrono::milliseconds::zero()) return false;
+  Socket sock =
+      tcp_connect(replicas_[idx], std::min(options_.connect_timeout, left));
   if (!sock.valid()) {
     arm_backoff(link, idx);
     return false;
@@ -75,9 +72,7 @@ bool TcpBus::send(std::size_t to, const wire::Frame& frame,
   if (to >= links_.size()) return false;
   Link& link = links_[to];
   if (!ensure_connected(link, to, deadline)) return false;
-  const bool ok = deadline == Clock::time_point{}
-                      ? send_frame(link.sock, frame)
-                      : send_frame(link.sock, frame, deadline);
+  const bool ok = send_frame(link.sock, frame, deadline);
   // Broken pipe, or a deadline-expired write that may have left a partial
   // frame on the wire: drop the link so the next send redials instead of
   // writing to a desynchronized stream.

@@ -59,12 +59,12 @@ class TcpBus {
 
   /// Write one frame to replica `to`, (re)connecting if needed. False when
   /// the replica is unreachable right now — the caller's retransmit loop
-  /// handles it, same as a dropped SimNetwork message. A non-default
-  /// `deadline` caps both the (re)connect attempt and the write itself: a
-  /// half-open connection whose send buffer filled up fails the send
-  /// instead of wedging the caller's whole operation.
+  /// handles it, same as a dropped SimNetwork message. `deadline` caps both
+  /// the (re)connect attempt and the write itself: a half-open connection
+  /// whose send buffer filled up fails the send instead of wedging the
+  /// caller's whole operation.
   bool send(std::size_t to, const wire::Frame& frame,
-            Clock::time_point deadline = {});
+            Clock::time_point deadline);
 
   /// The next frame from any replica, with the replica's index, or nullopt
   /// once `deadline` passes without one.

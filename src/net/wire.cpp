@@ -7,36 +7,6 @@ namespace asnap::net::wire {
 
 namespace {
 
-void put_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 std::nullopt_t fail(DecodeError* error, DecodeError why) {
   if (error != nullptr) *error = why;
   return std::nullopt;
@@ -107,10 +77,7 @@ std::optional<Frame> decode(const std::uint8_t* body, std::size_t len,
   f.type = body[5];
   // body[6..7]: flags since v2; reserved (and required-zero by nobody) in
   // v1, where they decode as 0 = no flags — the conservative meaning.
-  f.flags = f.version >= 2
-                ? static_cast<std::uint16_t>(
-                      body[6] | (static_cast<std::uint16_t>(body[7]) << 8))
-                : 0;
+  f.flags = f.version >= 2 ? get_u16(body + 6) : 0;
   f.from = get_u64(body + 8);
   f.rid = get_u64(body + 16);
   f.epoch = get_u64(body + 24);

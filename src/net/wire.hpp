@@ -103,6 +103,43 @@ struct Received {
   BasicFrame<V> frame;
 };
 
+/// Little-endian integers, the byte order of every field on the wire and in
+/// the replica WAL (abd/wal.cpp): put_* appends, get_* reads at `p`.
+inline void put_u16(Bytes& out, std::uint16_t v) {
+  out.push_back(static_cast<std::uint8_t>(v));
+  out.push_back(static_cast<std::uint8_t>(v >> 8));
+}
+
+inline void put_u32(Bytes& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+inline void put_u64(Bytes& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+inline std::uint16_t get_u16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] |
+                                    (static_cast<std::uint16_t>(p[1]) << 8));
+}
+
+inline std::uint32_t get_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+inline std::uint64_t get_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
+
 /// Serialize including the u32 length prefix, ready for send().
 Bytes encode(const Frame& frame);
 

@@ -735,10 +735,11 @@ std::optional<Frame> probe_read(const net::Endpoint& ep, std::uint64_t reg) {
   req.from = 99;
   req.rid = 1;
   req.reg = reg;
-  if (!net::send_frame(sock, req)) return std::nullopt;
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  if (!net::send_frame(sock, req, deadline)) return std::nullopt;
+  net::FrameBuffer inbound;
   Frame reply;
-  if (net::recv_frame(sock, std::chrono::steady_clock::now() + 2s, &reply) !=
-      net::RecvStatus::kOk) {
+  if (inbound.receive(sock, deadline, &reply) != net::RecvStatus::kOk) {
     return std::nullopt;
   }
   return reply;

@@ -1,8 +1,8 @@
-// Network-chaos suite: the seeded frame fuzzer, the recv_frame stream
-// discipline under byte-level adversaries, the WAL disk-full regression,
-// the TcpBus reconnect-backoff schedule and its framing rule (a partial
-// frame waits, a malformed one or EOF drops the link), and ChaosProxy unit
-// tests against a local frame-echo server.
+// Network-chaos suite: the seeded frame fuzzer, FrameBuffer (the one frame
+// reader of every socket user) under byte-level adversaries, the WAL
+// disk-full regression, the TcpBus reconnect-backoff schedule and its
+// framing rule (a partial frame waits, a malformed one or EOF drops the
+// link), and ChaosProxy unit tests against a local frame-echo server.
 //
 // The fuzzer is the CI face of the wire contract: ANY byte string handed to
 // wire::decode either parses or is rejected with a typed DecodeError — the
@@ -13,6 +13,7 @@
 // statistically, these assert deterministically. One more pins the proxy's
 // listeners off its upstreams' ports.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -39,10 +40,16 @@ namespace {
 
 using namespace std::chrono_literals;
 namespace fs = std::filesystem;
+using net::PopStatus;
 using net::RecvStatus;
 using net::wire::Bytes;
 using net::wire::DecodeError;
 using net::wire::Frame;
+
+std::chrono::steady_clock::time_point deadline_in(
+    std::chrono::milliseconds timeout) {
+  return std::chrono::steady_clock::now() + timeout;
+}
 
 // --- wire decode fuzzer -----------------------------------------------------
 
@@ -160,10 +167,11 @@ TEST(WireFuzz, EveryDecodeErrorVariantIsProducible) {
   EXPECT_EQ(text, "bad magic");
 }
 
-// --- recv_frame stream discipline -------------------------------------------
+// --- FrameBuffer stream discipline ------------------------------------------
 
-/// A connected AF_UNIX pair: write raw bytes into one end, recv_frame from
-/// the other. Byte-level control no TCP loopback test can give.
+/// A connected AF_UNIX pair: write raw bytes into one end, read frames from
+/// the other through a FrameBuffer. Byte-level control no TCP loopback test
+/// can give.
 struct BytePipe {
   net::Socket reader;
   int writer_fd = -1;
@@ -193,23 +201,30 @@ TEST(RecvFrameFuzz, OversizedLengthPrefixIsMalformedNotAnAllocation) {
   ASSERT_TRUE(pipe.reader.valid());
   const std::uint32_t huge = net::wire::kMaxBody + 1;
   pipe.write(&huge, sizeof(huge));
+  net::FrameBuffer inbound;
   Frame out;
-  EXPECT_EQ(net::recv_frame(pipe.reader,
-                            std::chrono::steady_clock::now() + 100ms, &out),
+  EXPECT_EQ(inbound.receive(pipe.reader, deadline_in(100ms), &out),
             RecvStatus::kMalformed);
 }
 
-TEST(RecvFrameFuzz, PartialFrameThenSilenceIsMalformed) {
+TEST(RecvFrameFuzz, PartialFrameThenSilenceIsTimeout) {
   BytePipe pipe;
   ASSERT_TRUE(pipe.reader.valid());
   Frame f;
   f.type = net::wire::kPing;
+  f.rid = 12;
   const Bytes buf = net::wire::encode(f);
   pipe.write(buf.data(), buf.size() - 7);  // mid-body, then silence
+  net::FrameBuffer inbound;
   Frame out;
-  EXPECT_EQ(net::recv_frame(pipe.reader,
-                            std::chrono::steady_clock::now() + 100ms, &out),
-            RecvStatus::kMalformed);
+  // A frame torn by silence is not malformed: it waits in the buffer, so
+  // the deadline passes with kTimeout and the rest of its bytes complete it.
+  EXPECT_EQ(inbound.receive(pipe.reader, deadline_in(30ms), &out),
+            RecvStatus::kTimeout);
+  pipe.write(buf.data() + buf.size() - 7, 7);
+  ASSERT_EQ(inbound.receive(pipe.reader, deadline_in(1000ms), &out),
+            RecvStatus::kOk);
+  EXPECT_EQ(out.rid, 12u);
 }
 
 TEST(RecvFrameFuzz, PartialFrameThenCloseIsClosed) {
@@ -220,18 +235,18 @@ TEST(RecvFrameFuzz, PartialFrameThenCloseIsClosed) {
   const Bytes buf = net::wire::encode(f);
   pipe.write(buf.data(), buf.size() - 7);
   pipe.close_writer();
+  net::FrameBuffer inbound;
   Frame out;
-  EXPECT_EQ(net::recv_frame(pipe.reader,
-                            std::chrono::steady_clock::now() + 100ms, &out),
+  EXPECT_EQ(inbound.receive(pipe.reader, deadline_in(100ms), &out),
             RecvStatus::kClosed);
 }
 
 TEST(RecvFrameFuzz, SilenceIsTimeoutAndValidFramesStillParse) {
   BytePipe pipe;
   ASSERT_TRUE(pipe.reader.valid());
+  net::FrameBuffer inbound;
   Frame out;
-  EXPECT_EQ(net::recv_frame(pipe.reader,
-                            std::chrono::steady_clock::now() + 30ms, &out),
+  EXPECT_EQ(inbound.receive(pipe.reader, deadline_in(30ms), &out),
             RecvStatus::kTimeout);
   Frame f;
   f.type = net::wire::kWriteReq;
@@ -239,8 +254,7 @@ TEST(RecvFrameFuzz, SilenceIsTimeoutAndValidFramesStillParse) {
   f.value = {9, 8, 7};
   const Bytes buf = net::wire::encode(f);
   pipe.write(buf.data(), buf.size());
-  EXPECT_EQ(net::recv_frame(pipe.reader,
-                            std::chrono::steady_clock::now() + 100ms, &out),
+  EXPECT_EQ(inbound.receive(pipe.reader, deadline_in(100ms), &out),
             RecvStatus::kOk);
   EXPECT_EQ(out.rid, 77u);
   EXPECT_EQ(out.value, Bytes({9, 8, 7}));
@@ -257,11 +271,107 @@ TEST(RecvFrameFuzz, SeededByteStreamsNeverWedgeTheReader) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
     if (!junk.empty()) pipe.write(junk.data(), junk.size());
     if (rng.chance(0.5)) pipe.close_writer();
+    net::FrameBuffer inbound;
     Frame out;
-    const auto status = net::recv_frame(
-        pipe.reader, std::chrono::steady_clock::now() + 20ms, &out);
+    const auto status = inbound.receive(pipe.reader, deadline_in(20ms), &out);
     (void)status;  // any classification is fine; returning at all is the test
   }
+}
+
+/// `frames` encoded back to back, as one write would carry them.
+Bytes encode_all(std::initializer_list<Frame> frames) {
+  Bytes bytes;
+  for (const Frame& f : frames) {
+    const Bytes one = net::wire::encode(f);
+    bytes.insert(bytes.end(), one.begin(), one.end());
+  }
+  return bytes;
+}
+
+TEST(FrameBuffer, TwoFramesFromOneFillPopInOrder) {
+  BytePipe pipe;
+  ASSERT_TRUE(pipe.reader.valid());
+  const Bytes bytes = encode_all({Frame{.type = net::wire::kPing, .rid = 1},
+                                  Frame{.type = net::wire::kPong, .rid = 2}});
+  pipe.write(bytes.data(), bytes.size());
+  net::FrameBuffer inbound;
+  ASSERT_TRUE(inbound.fill(pipe.reader));
+  Frame out;
+  ASSERT_EQ(inbound.pop(&out), PopStatus::kFrame);
+  EXPECT_EQ(out.rid, 1u);
+  ASSERT_EQ(inbound.pop(&out), PopStatus::kFrame);
+  EXPECT_EQ(out.rid, 2u);
+  EXPECT_EQ(out.type, net::wire::kPong);
+  EXPECT_EQ(inbound.pop(&out), PopStatus::kNeedMore);
+}
+
+TEST(FrameBuffer, BodyOfExactlyMaxBodyPopsWhole) {
+  BytePipe pipe;
+  ASSERT_TRUE(pipe.reader.valid());
+  Frame big{.type = net::wire::kWriteReq, .rid = 3};
+  big.value.assign(net::wire::kMaxBody - net::wire::kHeaderBytes, 0x5A);
+  big.value.back() = 0xA5;
+  const Bytes bytes = net::wire::encode(big);
+  ASSERT_EQ(bytes.size(), 4u + net::wire::kMaxBody);
+  // Far more than a socket buffer holds: the writer blocks until the
+  // reader has drained it.
+  std::jthread writer([&] { pipe.write(bytes.data(), bytes.size()); });
+  net::FrameBuffer inbound;
+  Frame out;
+  const RecvStatus status =
+      inbound.receive(pipe.reader, deadline_in(5000ms), &out);
+  if (status != RecvStatus::kOk) pipe.reader.close();  // unblock the writer
+  writer.join();
+  ASSERT_EQ(status, RecvStatus::kOk);
+  EXPECT_EQ(out.rid, 3u);
+  EXPECT_EQ(out.value, big.value);
+}
+
+TEST(FrameBuffer, PrefixAboveMaxBodyIsMalformedFromItsFourBytes) {
+  BytePipe pipe;
+  ASSERT_TRUE(pipe.reader.valid());
+  Bytes prefix;
+  net::wire::put_u32(prefix, net::wire::kMaxBody + 1);
+  pipe.write(prefix.data(), prefix.size());
+  net::FrameBuffer inbound;
+  ASSERT_TRUE(inbound.fill(pipe.reader));
+  Frame out;
+  EXPECT_EQ(inbound.pop(&out), PopStatus::kMalformed);
+}
+
+TEST(FrameBuffer, GoodFrameThenBadMagicIsFrameThenMalformed) {
+  BytePipe pipe;
+  ASSERT_TRUE(pipe.reader.valid());
+  const Frame good{.type = net::wire::kPing, .rid = 4};
+  Bytes bytes = encode_all({good, good});
+  bytes[net::wire::encode(good).size() + 4] ^= 0xFF;  // second frame's magic
+  pipe.write(bytes.data(), bytes.size());
+  net::FrameBuffer inbound;
+  Frame out;
+  ASSERT_EQ(inbound.receive(pipe.reader, deadline_in(1000ms), &out),
+            RecvStatus::kOk);
+  EXPECT_EQ(out.rid, 4u);
+  EXPECT_EQ(inbound.receive(pipe.reader, deadline_in(1000ms), &out),
+            RecvStatus::kMalformed);
+}
+
+TEST(FrameBuffer, ClearAfterAPartialFrameStartsAFreshStream) {
+  BytePipe pipe;
+  ASSERT_TRUE(pipe.reader.valid());
+  const Bytes torn = net::wire::encode(Frame{.type = net::wire::kPing});
+  pipe.write(torn.data(), torn.size() / 2);
+  net::FrameBuffer inbound;
+  ASSERT_TRUE(inbound.fill(pipe.reader));
+  Frame out;
+  ASSERT_EQ(inbound.pop(&out), PopStatus::kNeedMore);
+  inbound.clear();
+  const Bytes whole =
+      net::wire::encode(Frame{.type = net::wire::kPong, .rid = 5});
+  pipe.write(whole.data(), whole.size());
+  ASSERT_EQ(inbound.receive(pipe.reader, deadline_in(1000ms), &out),
+            RecvStatus::kOk);
+  EXPECT_EQ(out.type, net::wire::kPong);
+  EXPECT_EQ(out.rid, 5u);
 }
 
 // --- WAL disk-full regression ------------------------------------------------
@@ -365,7 +475,7 @@ TEST(TcpBusBackoff, GrowsToCapAndResetsAfterSuccess) {
   // ceiling, so the armed value lands in [80, 240] ms — far above anything
   // the 10 ms floor can produce.
   for (int i = 0; i < 8; ++i) {
-    EXPECT_FALSE(bus.send(0, ping));
+    EXPECT_FALSE(bus.send(0, ping, deadline_in(1000ms)));
     std::this_thread::sleep_for(bus.reconnect_cooldown(0) + 5ms);
   }
   const auto at_cap = bus.reconnect_cooldown(0);
@@ -379,18 +489,18 @@ TEST(TcpBusBackoff, GrowsToCapAndResetsAfterSuccess) {
   std::this_thread::sleep_for(at_cap + 5ms);  // let the cooldown lapse
   bool sent = false;
   for (int i = 0; i < 50 && !sent; ++i) {
-    sent = bus.send(0, ping);
+    sent = bus.send(0, ping, deadline_in(1000ms));
     if (!sent) std::this_thread::sleep_for(bus.reconnect_cooldown(0) + 5ms);
   }
   ASSERT_TRUE(sent);
-  auto sink = listener.accept(1000ms);
+  auto sink = listener.accept(deadline_in(1000ms));
   ASSERT_TRUE(sink.has_value());
   listener.close();
   sink->close();  // EOF: the next sends hit a reset connection
 
   bool failed = false;
   for (int i = 0; i < 50 && !failed; ++i) {
-    failed = !bus.send(0, ping);
+    failed = !bus.send(0, ping, deadline_in(1000ms));
     std::this_thread::sleep_for(10ms);
   }
   ASSERT_TRUE(failed);
@@ -398,7 +508,7 @@ TEST(TcpBusBackoff, GrowsToCapAndResetsAfterSuccess) {
   // drops the link but does not redial; push one more send through the dial
   // path so the post-reset schedule is what reconnect_cooldown() reports.
   std::this_thread::sleep_for(bus.reconnect_cooldown(0) + 5ms);
-  EXPECT_FALSE(bus.send(0, ping));
+  EXPECT_FALSE(bus.send(0, ping, deadline_in(1000ms)));
   // Two armings after the reset at most: base 10 then 20, +50% jitter.
   EXPECT_LE(bus.reconnect_cooldown(0), 45ms);
 }
@@ -411,6 +521,7 @@ struct BusWait : ::testing::Test {
   net::Listener listener;
   std::optional<net::TcpBus> bus;
   net::Socket replica;
+  net::FrameBuffer replica_inbound;
 
   void SetUp() override {
     std::string error;
@@ -427,13 +538,13 @@ struct BusWait : ::testing::Test {
   void dial() {
     Frame ping;
     ping.type = net::wire::kPing;
-    ASSERT_TRUE(bus->send(0, ping));
-    auto conn = listener.accept(1000ms);
+    ASSERT_TRUE(bus->send(0, ping, deadline_in(1000ms)));
+    auto conn = listener.accept(deadline_in(1000ms));
     ASSERT_TRUE(conn.has_value()) << "the ping did not open a new connection";
     replica = std::move(*conn);
+    replica_inbound.clear();
     Frame got;
-    ASSERT_EQ(net::recv_frame(replica, std::chrono::steady_clock::now() + 1s,
-                              &got),
+    ASSERT_EQ(replica_inbound.receive(replica, deadline_in(1000ms), &got),
               RecvStatus::kOk);
   }
 
@@ -477,8 +588,7 @@ TEST_F(BusWait, MalformedFrameDropsTheLinkAndTheNextSendRedials) {
                             std::chrono::steady_clock::now() + 1s));
   EXPECT_FALSE(wait_for(100ms).has_value());
   Frame eof;
-  EXPECT_EQ(net::recv_frame(replica, std::chrono::steady_clock::now() + 1s,
-                            &eof),
+  EXPECT_EQ(replica_inbound.receive(replica, deadline_in(1000ms), &eof),
             RecvStatus::kClosed)
       << "the bus closes its end of a malformed stream";
   dial();
@@ -494,37 +604,55 @@ TEST_F(BusWait, EofDropsTheLinkAndTheNextSendRedials) {
 
 // --- ChaosProxy primitives ---------------------------------------------------
 
+/// One connection of the proxy tests' echo server.
+struct EchoConn {
+  net::Socket sock;
+  net::FrameBuffer inbound;
+
+  /// Receive what is ready and echo every complete frame. False once the
+  /// connection is done: EOF, an error or a malformed frame.
+  bool echo_ready() {
+    if (!inbound.fill(sock)) return false;
+    Frame f;
+    PopStatus popped;
+    while ((popped = inbound.pop(&f)) == PopStatus::kFrame) {
+      if (!net::send_frame(sock, f, deadline_in(1000ms))) return false;
+    }
+    return popped == PopStatus::kNeedMore;
+  }
+};
+
 /// Frame-echo server + proxy + client harness shared by the proxy tests.
 struct ProxyEcho : ::testing::Test {
   net::Listener echo;
   std::jthread echo_thread;
   std::unique_ptr<net::ChaosProxy> proxy;
   net::Socket client;
+  net::FrameBuffer client_inbound;
 
   void SetUp() override {
     std::string error;
     echo = net::Listener::open({"127.0.0.1", 0}, &error);
     ASSERT_TRUE(echo.valid()) << error;
     echo_thread = std::jthread([this](std::stop_token st) {
-      std::vector<net::Socket> conns;
-      Frame f;
+      // One readiness wait over the listener and every connection; its
+      // 10 ms bound is how soon TearDown's stop request is seen.
+      std::vector<EchoConn> conns;
+      std::vector<pollfd> fds;
       while (!st.stop_requested()) {
-        if (auto conn = echo.accept(10ms)) conns.push_back(std::move(*conn));
-        for (std::size_t i = 0; i < conns.size();) {
-          const auto status = net::recv_frame(
-              conns[i], std::chrono::steady_clock::now() + 10ms, &f);
-          if (status == RecvStatus::kOk) {
-            if (!net::send_frame(conns[i], f)) {
-              conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-              continue;
-            }
-          } else if (status != RecvStatus::kTimeout) {
-            // EOF or a frame torn across the slice deadline: this stream is
-            // desynchronized for good, stop polling it.
+        fds.assign(1, pollfd{echo.fd(), POLLIN, 0});
+        for (const EchoConn& c : conns) {
+          fds.push_back(pollfd{c.sock.fd(), POLLIN, 0});
+        }
+        if (::poll(fds.data(), fds.size(), 10) <= 0) continue;
+        for (std::size_t i = conns.size(); i-- > 0;) {
+          if (fds[i + 1].revents != 0 && !conns[i].echo_ready()) {
             conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-            continue;
           }
-          ++i;
+        }
+        if (fds[0].revents == 0) continue;
+        if (auto conn = echo.accept_pending()) {
+          conns.push_back(EchoConn{std::move(*conn), {}});
         }
       }
     });
@@ -537,6 +665,7 @@ struct ProxyEcho : ::testing::Test {
 
   void connect_client() {
     client = net::tcp_connect(proxy->endpoints()[0], 500ms);
+    client_inbound.clear();
     ASSERT_TRUE(client.valid());
   }
 
@@ -547,16 +676,24 @@ struct ProxyEcho : ::testing::Test {
     echo.close();
   }
 
+  bool send(const Frame& f) {
+    return net::send_frame(client, f, deadline_in(1000ms));
+  }
+
+  RecvStatus receive(std::chrono::milliseconds wait, Frame* reply) {
+    return client_inbound.receive(client, deadline_in(wait), reply);
+  }
+
   /// Ping through the proxy; the echoed reply must carry the same rid.
   RecvStatus ping(std::uint64_t rid, std::chrono::milliseconds wait,
                   Frame* reply) {
     Frame f;
     f.type = net::wire::kPing;
     f.rid = rid;
-    if (!net::send_frame(client, f)) return RecvStatus::kClosed;
+    if (!send(f)) return RecvStatus::kClosed;
+    const auto deadline = deadline_in(wait);
     for (;;) {
-      const auto status = net::recv_frame(
-          client, std::chrono::steady_clock::now() + wait, reply);
+      const auto status = client_inbound.receive(client, deadline, reply);
       if (status == RecvStatus::kOk && reply->rid != rid) continue;
       return status;
     }
@@ -608,19 +745,15 @@ TEST_F(ProxyEcho, ReorderSwapsAdjacentFrames) {
   a.type = b.type = net::wire::kPing;
   a.rid = 10;
   b.rid = 11;
-  ASSERT_TRUE(net::send_frame(client, a));
-  ASSERT_TRUE(net::send_frame(client, b));
+  ASSERT_TRUE(send(a));
+  ASSERT_TRUE(send(b));
   // Frame 10 is held; frame 11 arrives (already holding) and flushes 10
   // behind it — the receiver sees 11 before 10.
   Frame first;
-  ASSERT_EQ(net::recv_frame(client, std::chrono::steady_clock::now() + 2000ms,
-                            &first),
-            RecvStatus::kOk);
+  ASSERT_EQ(receive(2000ms, &first), RecvStatus::kOk);
   EXPECT_EQ(first.rid, 11u);
   Frame second;
-  ASSERT_EQ(net::recv_frame(client, std::chrono::steady_clock::now() + 2000ms,
-                            &second),
-            RecvStatus::kOk);
+  ASSERT_EQ(receive(2000ms, &second), RecvStatus::kOk);
   EXPECT_EQ(second.rid, 10u);
   EXPECT_GE(proxy->stats(0).reordered, 1u);
 }
@@ -652,10 +785,11 @@ TEST_F(ProxyEcho, ResetSurfacesAsClosedConnection) {
   ASSERT_EQ(ping(31, 1000ms, &reply), RecvStatus::kOk);
 }
 
-TEST_F(ProxyEcho, MidFrameStallIsMalformedAtTheReceiver) {
+TEST_F(ProxyEcho, MidFrameStallHoldsThePartialFrameUntilTheDrop) {
   // Stall the REPLY path: the client receives a length prefix (and maybe
-  // part of the body), then silence — its recv_frame must take the
-  // kMalformed mid-frame path, never resynchronize.
+  // part of the body), then silence. The partial frame waits in the
+  // client's buffer, so the stall reads as a timeout, and the proxy's drop
+  // after it as a closed connection: never a frame, never a resync.
   net::LinkFaults f;
   f.stall_prob = 1.0;
   f.stall = std::chrono::milliseconds(400);
@@ -663,12 +797,11 @@ TEST_F(ProxyEcho, MidFrameStallIsMalformedAtTheReceiver) {
   Frame request;
   request.type = net::wire::kPing;
   request.rid = 40;
-  ASSERT_TRUE(net::send_frame(client, request));
+  ASSERT_TRUE(send(request));
   Frame reply;
-  const auto status = net::recv_frame(
-      client, std::chrono::steady_clock::now() + 250ms, &reply);
-  EXPECT_EQ(status, RecvStatus::kMalformed);
+  EXPECT_EQ(receive(250ms, &reply), RecvStatus::kTimeout);
   EXPECT_GE(proxy->stats(0).stalled, 1u);
+  EXPECT_EQ(receive(2000ms, &reply), RecvStatus::kClosed);
 }
 
 TEST_F(ProxyEcho, KillConnectionsDropsLiveSessions) {
@@ -679,9 +812,7 @@ TEST_F(ProxyEcho, KillConnectionsDropsLiveSessions) {
   f.type = net::wire::kPing;
   // The severed socket surfaces as EOF/error on the next recv (the send
   // may still succeed into the kernel buffer).
-  EXPECT_EQ(net::recv_frame(client, std::chrono::steady_clock::now() + 500ms,
-                            &f),
-            RecvStatus::kClosed);
+  EXPECT_EQ(receive(500ms, &f), RecvStatus::kClosed);
 }
 
 // A replica's port is probed free, released, and bound by the daemon only

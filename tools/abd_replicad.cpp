@@ -30,11 +30,13 @@
 // stale, which ABD tolerates by construction (read quorums intersect the
 // majority that acked any write) — and then a background resync thread
 // quorum-reads registers 0..regs-1 through abd::RemoteRegisterClient and
-// adopts anything newer, restoring full f-tolerance. Serving first avoids
-// the bootstrap deadlock where all replicas of a cold cluster wait on each
-// other's majority. The resync thread is the daemon's only other thread: it
-// is a client of this daemon's own listener, so it cannot run on the loop,
-// and the replica mutex is there for it.
+// adopts anything newer, restoring full f-tolerance. Its queries are short
+// and retried until they succeed, so SIGTERM ends the daemon promptly even
+// while no majority answers. Serving first avoids the bootstrap deadlock
+// where all replicas of a cold cluster wait on each other's majority. The
+// resync thread is the daemon's only other thread: it is a client of this
+// daemon's own listener, so it cannot run on the loop, and the replica
+// mutex is there for it.
 //
 // Usage:
 //   abd_replicad --id I --peers host:port,... --state-dir DIR [--regs N]
@@ -173,33 +175,30 @@ bool serve_frames(std::size_t id, Replica& replica, Conn& conn) {
 /// the confirmed ts: a resync read skipping write-back has not stabilized
 /// anything, so the restarted replica must keep answering reads without
 /// kFlagTsConfirmed until a live writer/reader confirms again.
+///
+/// A register's query is retried until it succeeds or `stop` is set, and
+/// each try is short, so a daemon told to stop waits out at most one
+/// query before run() joins this thread.
 void resync(std::size_t id, const Args& args, Replica& replica,
             const std::atomic<bool>& stop) {
   abd::AbdConfig config;
-  config.op_deadline = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::seconds(2));
+  config.op_deadline = 200ms;
   abd::RemoteRegisterClient client(args.peers, /*client_id=*/1000 + id,
                                    config);
-  std::size_t synced = 0;
   for (std::uint64_t reg = 0; reg < args.regs; ++reg) {
-    for (int attempt = 0; attempt < 3; ++attempt) {
+    std::optional<abd::RemoteRegisterClient::ReadResult> got;
+    while (!got.has_value()) {
       if (stop.load(std::memory_order_acquire)) return;
-      const auto got = client.try_query(reg);
-      if (!got.has_value()) {
-        std::this_thread::sleep_for(100ms);
-        continue;
-      }
-      const Frame install{.type = net::wire::kWriteReq,
-                          .reg = reg,
-                          .ts = got->ts,
-                          .value = got->value};
-      std::optional<Frame> ack;
-      (void)replica.handle(install, &ack);
-      ++synced;
-      break;
+      got = client.try_query(reg);
     }
+    const Frame install{.type = net::wire::kWriteReq,
+                        .reg = reg,
+                        .ts = got->ts,
+                        .value = got->value};
+    std::optional<Frame> ack;
+    (void)replica.handle(install, &ack);
   }
-  std::printf("RESYNC done regs=%zu/%llu\n", synced,
+  std::printf("RESYNC done regs=%llu\n",
               static_cast<unsigned long long>(args.regs));
   std::fflush(stdout);
 }

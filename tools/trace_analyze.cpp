@@ -867,23 +867,25 @@ int run_demo() {
       std::string error;
       net::Listener echo = net::Listener::open({"127.0.0.1", 0}, &error);
       std::jthread echo_thread([&echo](std::stop_token st) {
+        const auto slice = [] {
+          return std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(20);
+        };
         std::optional<net::Socket> conn;
+        net::FrameBuffer inbound;
         net::wire::Frame f;
         while (!st.stop_requested()) {
           if (!conn.has_value()) {
-            conn = echo.accept(std::chrono::milliseconds(20));
+            conn = echo.accept(slice());
+            inbound.clear();
             continue;
           }
-          const auto status = net::recv_frame(
-              *conn,
-              std::chrono::steady_clock::now() + std::chrono::milliseconds(20),
-              &f);
+          const auto status = inbound.receive(*conn, slice(), &f);
           if (status == net::RecvStatus::kTimeout) continue;
-          if (status != net::RecvStatus::kOk) {
+          if (status != net::RecvStatus::kOk ||
+              !net::send_frame(*conn, f, slice())) {
             conn.reset();
-            continue;
           }
-          if (!net::send_frame(*conn, f)) conn.reset();
         }
       });
       const std::uint16_t echo_port = echo.bound_port();
@@ -898,16 +900,16 @@ int run_demo() {
         proxy.set_all(faults);
         net::Socket client = net::tcp_connect(proxy.endpoints()[0],
                                               std::chrono::milliseconds(200));
+        net::FrameBuffer inbound;
         net::wire::Frame ping;
         ping.type = net::wire::kPing;
         net::wire::Frame reply;
         for (int i = 0; i < 60 && client.valid(); ++i) {
           ping.rid = static_cast<std::uint64_t>(i);
-          if (!net::send_frame(client, ping)) break;
-          (void)net::recv_frame(
-              client,
-              std::chrono::steady_clock::now() + std::chrono::milliseconds(5),
-              &reply);
+          const auto wait =
+              std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+          if (!net::send_frame(client, ping, wait)) break;
+          (void)inbound.receive(client, wait, &reply);
           if (i == 20) proxy.blackhole(0, net::ChaosProxy::kToClient, true);
           if (i == 30) proxy.blackhole(0, net::ChaosProxy::kToClient, false);
           if (i == 40) {
@@ -934,7 +936,9 @@ int run_demo() {
       net::wire::Frame probe;
       probe.type = net::wire::kPing;
       for (int i = 0; i < 5; ++i) {
-        (void)bus.send(0, probe);
+        (void)bus.send(0, probe,
+                       std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(10));
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     }

@@ -79,12 +79,9 @@ LossCost measure_loss(double drop, bool dup) {
   net::FaultPlan plan;
   plan.drop_prob = drop;
   plan.dup_prob = dup ? 0.3 : 0.0;
-  snap.set_fault_plan(plan);
+  snap.cluster().set_fault_plan(plan);
   const std::uint64_t msgs0 = snap.messages_sent();
-  const std::uint64_t rounds0 = snap.protocol_rounds();
-  const std::uint64_t retx0 = snap.retransmits_sent();
-  const std::uint64_t dups0 = snap.dup_replies_ignored();
-  const std::uint64_t tmo0 = snap.round_timeouts();
+  const abd::CounterValues before = snap.cluster().counters();
   std::uint64_t failed_ops = 0;
   for (int i = 0; i < kOps; ++i) {
     // Degraded-mode entry points: under this sweep's deadlines every op
@@ -93,12 +90,15 @@ LossCost measure_loss(double drop, bool dup) {
     if (!snap.try_scan(0).has_value()) ++failed_ops;
   }
   const double ops = 2.0 * kOps;
+  const abd::CounterValues after = snap.cluster().counters();
   return LossCost{
       static_cast<double>(snap.messages_sent() - msgs0) / ops,
-      static_cast<double>(snap.protocol_rounds() - rounds0) / ops,
-      static_cast<double>(snap.retransmits_sent() - retx0) / ops,
-      static_cast<double>(snap.dup_replies_ignored() - dups0) / ops,
-      snap.round_timeouts() - tmo0,
+      static_cast<double>(after.protocol_rounds - before.protocol_rounds) /
+          ops,
+      static_cast<double>(after.retransmit_waves - before.retransmit_waves) /
+          ops,
+      static_cast<double>(after.dup_replies - before.dup_replies) / ops,
+      after.round_timeouts - before.round_timeouts,
       failed_ops,
   };
 }
@@ -140,7 +140,7 @@ FastreadResult measure_fastread(bool fast, double read_ratio, double drop,
     plan.max_delay = std::chrono::microseconds(
         static_cast<std::int64_t>(delay_ms * 1e3));
   }
-  snap.set_fault_plan(plan);
+  snap.cluster().set_fault_plan(plan);
 
   lin::Recorder recorder(kN);
   std::vector<trace::LogHistogram> scan_ns(kN);
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
     // Crash a minority (floor((n-1)/2) nodes from the top).
     const std::size_t to_crash = (n - 1) / 2;
     for (std::size_t c = 0; c < to_crash; ++c) {
-      snap.crash(static_cast<ProcessId>(n - 1 - c));
+      snap.cluster().crash(static_cast<ProcessId>(n - 1 - c));
     }
     const OpCost degraded = measure(snap, 0);
 

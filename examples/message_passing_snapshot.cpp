@@ -31,10 +31,10 @@ int main() {
               static_cast<unsigned long long>(snapshot.messages_sent()));
 
   // ... then a minority of nodes fail-stops.
-  snapshot.crash(3);
-  snapshot.crash(4);
+  snapshot.cluster().crash(3);
+  snapshot.cluster().crash(4);
   std::printf("crashed nodes 3 and 4; %zu of %zu alive (majority: %zu)\n",
-              snapshot.alive_count(), kNodes, kNodes / 2 + 1);
+              snapshot.cluster().alive_count(), kNodes, kNodes / 2 + 1);
 
   // Survivors keep updating and scanning — operations still terminate, and
   // the crashed nodes' last values remain visible (they reached a majority).

@@ -198,8 +198,8 @@ class AbdCluster {
 
   /// Attach (or detach, with nullptr) the failure detector whose per-client
   /// suspicion hints drive the circuit breaker. Call from a quiescent point
-  /// before the workload starts; the detector must outlive the cluster or a
-  /// later attach_detector(nullptr).
+  /// before the workload starts. Operations read the detector, so it must
+  /// outlive every operation issued while it is attached.
   void attach_detector(const net::FailureDetector* detector) {
     detector_.store(detector, std::memory_order_release);
   }
@@ -227,31 +227,11 @@ class AbdCluster {
   std::uint64_t messages_sent() const { return net_.messages_sent(); }
   std::size_t alive_count() const { return net_.alive_count(); }
 
-  /// Counters summed over all clients (see abd::Counters).
-  /// Protocol rounds started (query / write / write-back), NOT counting
-  /// retransmission waves within a round — see retransmits_sent() for those.
-  std::uint64_t protocol_rounds() const { return total(&Counters::rounds); }
-  /// Reads that returned after the query round alone (write-back skipped).
-  std::uint64_t fast_reads() const { return total(&Counters::fast_reads); }
-  /// Reads that wanted the fast path but fell back to write-back.
-  std::uint64_t fast_fallbacks() const {
-    return total(&Counters::fast_fallbacks);
-  }
-  std::uint64_t retransmits_sent() const {
-    return total(&Counters::retransmits);
-  }
-  std::uint64_t dup_replies_ignored() const {
-    return total(&Counters::dup_replies);
-  }
-  std::uint64_t round_timeouts() const {
-    return total(&Counters::round_timeouts);
-  }
-  std::uint64_t breaker_skips() const {
-    return total(&Counters::breaker_skips);
-  }
-  std::uint64_t fail_fasts() const { return total(&Counters::fail_fasts); }
-  std::uint64_t stale_epoch_replies() const {
-    return total(&Counters::stale_epoch_replies);
+  /// The protocol counters (abd::Counters) summed over every node's client.
+  CounterValues counters() const {
+    CounterValues total;
+    for (const Node& node : nodes_) total += load(node.counters);
+    return total;
   }
 
   /// Test hook: a replica's current timestamp for one register.
@@ -335,12 +315,6 @@ class AbdCluster {
     ReplicaCore<V> replica;
     std::jthread server;
   };
-
-  std::uint64_t total(std::atomic<std::uint64_t> Counters::*counter) const {
-    std::uint64_t sum = 0;
-    for (const Node& node : nodes_) sum += load(node.counters.*counter);
-    return sum;
-  }
 
   void start_server(std::size_t id) {
     nodes_[id].server = std::jthread([this, id](std::stop_token st) {

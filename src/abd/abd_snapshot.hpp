@@ -11,16 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "abd/abd_register.hpp"
-#include "abd/supervisor.hpp"
 #include "common/config.hpp"
 #include "core/unbounded_sw_snapshot.hpp"
-#include "net/failure_detector.hpp"
 
 namespace asnap::abd {
 
@@ -78,91 +75,26 @@ class MessagePassingSnapshot {
     }
   }
 
-  /// Fail-stop node i. Its process must issue no further operations; all
-  /// other processes continue as long as a majority is alive.
-  void crash(ProcessId i) { cluster_.crash(i); }
-
-  /// Restart a crashed node (rejoin + replica resync from a majority); its
-  /// process may issue operations again once this returns true. Safe to
-  /// race with the self-healing supervisor (double recover is a no-op).
-  bool recover(ProcessId i) { return cluster_.recover(i); }
-  bool crashed(ProcessId i) const { return cluster_.crashed(i); }
-
-  /// Sever a link. Processes that keep operating must still reach a
-  /// majority of replicas directly.
-  void cut_link(ProcessId a, ProcessId b) { cluster_.cut_link(a, b); }
-  void restore_link(ProcessId a, ProcessId b) { cluster_.restore_link(a, b); }
-
-  /// Lossy-network adversary controls (drop/dup/delay/partition) — the
-  /// retransmitting ABD client rounds keep scans/updates live through them.
-  void set_fault_plan(const net::FaultPlan& plan) {
-    cluster_.set_fault_plan(plan);
-  }
-  void partition(const std::vector<std::vector<net::NodeId>>& groups) {
-    cluster_.partition(groups);
-  }
-  void heal() { cluster_.heal(); }
-
-  std::uint64_t messages_sent() const { return cluster_.messages_sent(); }
-  std::uint64_t protocol_rounds() const { return cluster_.protocol_rounds(); }
-  std::uint64_t fast_reads() const { return cluster_.fast_reads(); }
-  std::uint64_t fast_fallbacks() const { return cluster_.fast_fallbacks(); }
-  std::uint64_t retransmits_sent() const {
-    return cluster_.retransmits_sent();
-  }
-  std::uint64_t dup_replies_ignored() const {
-    return cluster_.dup_replies_ignored();
-  }
-  std::uint64_t round_timeouts() const { return cluster_.round_timeouts(); }
-  std::size_t alive_count() const { return cluster_.alive_count(); }
   const core::ScanStats& stats(ProcessId i) const { return snapshot_.stats(i); }
 
-  // --- self-healing ---------------------------------------------------------
+  /// The cluster under the snapshot: node i runs process i. Crashes,
+  /// recoveries, links, network faults, the failure detector and the
+  /// protocol counters are all its.
+  AbdCluster<Record>& cluster() { return cluster_; }
+  const AbdCluster<Record>& cluster() const { return cluster_; }
 
-  /// Knobs for enable_self_healing(). Defaults suit chaos runs (millisecond
-  /// failure detection, a few ms of simulated reboot time).
-  struct SelfHealingConfig {
-    net::DetectorConfig detector;
-    SupervisorConfig supervisor;
-    /// Optional observer of suspect/trust transitions (the chaos
-    /// orchestrator measures detection latency through it). Fires from
-    /// detector monitor threads; must be cheap and non-blocking.
-    net::FailureDetector::Callback detector_callback;
-  };
-
-  /// Start the self-healing layer: a heartbeat failure detector whose
-  /// suspicion hints arm the cluster's circuit breaker (if
-  /// AbdConfig::breaker.enabled was set), plus a supervisor that
-  /// auto-recovers crashed nodes. Call once, from a quiescent point before
-  /// the workload starts; both live until the snapshot is destroyed.
-  void enable_self_healing(const SelfHealingConfig& cfg = {}) {
-    ASNAP_ASSERT_MSG(!detector_, "self-healing already enabled");
-    detector_ = std::make_unique<net::FailureDetector>(
-        cluster_.network(), cfg.detector, cfg.detector_callback);
-    cluster_.attach_detector(detector_.get());
-    supervisor_ =
-        std::make_unique<AbdSupervisor<Record>>(cluster_, cfg.supervisor);
-  }
-
-  const net::FailureDetector* detector() const { return detector_.get(); }
-  const AbdSupervisor<Record>* supervisor() const { return supervisor_.get(); }
-
-  /// Cluster-level self-healing counters (0 when the layer is off).
-  std::uint64_t breaker_skips() const { return cluster_.breaker_skips(); }
-  std::uint64_t fail_fasts() const { return cluster_.fail_fasts(); }
-  std::uint64_t stale_epoch_replies() const {
-    return cluster_.stale_epoch_replies();
-  }
-  std::uint64_t epoch(ProcessId i) const { return cluster_.epoch(i); }
+  /// Shorthands for the counters benchmarks read.
+  std::uint64_t protocol_rounds() const { return counters().protocol_rounds; }
+  std::uint64_t fast_reads() const { return counters().fast_reads; }
+  std::uint64_t fast_fallbacks() const { return counters().fast_fallbacks; }
+  std::uint64_t messages_sent() const { return cluster_.messages_sent(); }
+  std::uint64_t retransmits_sent() const { return counters().retransmit_waves; }
 
  private:
+  CounterValues counters() const { return cluster_.counters(); }
+
   AbdCluster<Record> cluster_;
   Snapshot snapshot_;
-  // Destruction order matters: supervisor_ and detector_ hold references
-  // into cluster_, and members are destroyed in reverse declaration order,
-  // so they are torn down (threads joined) before cluster_ dies.
-  std::unique_ptr<net::FailureDetector> detector_;
-  std::unique_ptr<AbdSupervisor<Record>> supervisor_;
 };
 
 }  // namespace asnap::abd

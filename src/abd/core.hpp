@@ -123,26 +123,51 @@ inline constexpr int kRtoPerRtt = 4;
 /// suspected replicas.
 inline constexpr std::uint32_t kProbeEvery = 4;
 
-/// A client's protocol counters: relaxed atomics, so a stats reader on
-/// another thread never races a round. One set per client: clients that
-/// share one write its cache line from every core in every round.
-struct Counters {
+/// A client's protocol counters, every transport's, one `Cell` each: a
+/// relaxed atomic in the live set a client bumps (Counters), a plain number
+/// in a value read from it (CounterValues).
+template <typename Cell>
+struct BasicCounters {
   /// Rounds started (query / write / write-back), not counting the
   /// retransmission waves within a round.
-  std::atomic<std::uint64_t> rounds{0};
-  std::atomic<std::uint64_t> fast_reads{0};      ///< write-back skipped
-  std::atomic<std::uint64_t> fast_fallbacks{0};  ///< fast path refused
-  std::atomic<std::uint64_t> retransmits{0};     ///< retransmission waves
+  Cell protocol_rounds{};
+  Cell fast_reads{};      ///< write-back skipped
+  Cell fast_fallbacks{};  ///< fast path refused
+  Cell retransmit_waves{};
   /// Request frames sent by rounds: first waves, hedges and retransmission
   /// waves (confirms are not a round's).
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> hedges{0};  ///< rounds that widened
-  std::atomic<std::uint64_t> dup_replies{0};
-  std::atomic<std::uint64_t> round_timeouts{0};
-  std::atomic<std::uint64_t> breaker_skips{0};
-  std::atomic<std::uint64_t> fail_fasts{0};
-  std::atomic<std::uint64_t> stale_epoch_replies{0};
+  Cell requests{};
+  Cell hedges{};  ///< rounds that widened
+  Cell dup_replies{};
+  Cell round_timeouts{};
+  Cell breaker_skips{};
+  Cell fail_fasts{};
+  Cell stale_epoch_replies{};
 };
+
+/// The live set: a stats reader on another thread never races a round. One
+/// set per client: clients that share one write its cache line from every
+/// core in every round.
+using Counters = BasicCounters<std::atomic<std::uint64_t>>;
+/// A read of a live set, or a sum of reads.
+using CounterValues = BasicCounters<std::uint64_t>;
+
+/// The one list of the counters, in report order: f(name, set.counter...)
+/// for each counter of `sets`. Reading, summing, printing and JSON walk it.
+template <typename F, typename... Sets>
+void for_each_counter(F&& f, Sets&&... sets) {
+  f("protocol_rounds", sets.protocol_rounds...);
+  f("fast_reads", sets.fast_reads...);
+  f("fast_fallbacks", sets.fast_fallbacks...);
+  f("retransmit_waves", sets.retransmit_waves...);
+  f("requests", sets.requests...);
+  f("hedges", sets.hedges...);
+  f("dup_replies", sets.dup_replies...);
+  f("round_timeouts", sets.round_timeouts...);
+  f("breaker_skips", sets.breaker_skips...);
+  f("fail_fasts", sets.fail_fasts...);
+  f("stale_epoch_replies", sets.stale_epoch_replies...);
+}
 
 inline void bump(std::atomic<std::uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
@@ -150,6 +175,25 @@ inline void bump(std::atomic<std::uint64_t>& counter) {
 
 inline std::uint64_t load(const std::atomic<std::uint64_t>& counter) {
   return counter.load(std::memory_order_relaxed);
+}
+
+/// Every counter of a live set, each read on its own.
+inline CounterValues load(const Counters& live) {
+  CounterValues values;
+  for_each_counter([](const char*, std::uint64_t& value,
+                      const std::atomic<std::uint64_t>& counter) {
+    value = load(counter);
+  }, values, live);
+  return values;
+}
+
+/// Totals over several clients.
+inline CounterValues& operator+=(CounterValues& total,
+                                 const CounterValues& more) {
+  for_each_counter(
+      [](const char*, std::uint64_t& sum, std::uint64_t add) { sum += add; },
+      total, more);
+  return total;
 }
 
 /// What a client remembers about one replica across rounds.
@@ -210,7 +254,7 @@ class QuorumRound {
         counted_(peers.size(), 0),
         backoff_(p_.rto, std::max(p_.rto, config.max_rto)),
         retransmit_at_(now) {
-    bump(counters_.rounds);
+    bump(counters_.protocol_rounds);
     ASNAP_TRACE_EVENT(trace::EventKind::kAbdRoundBegin, p_.pid, p_.rid,
                       p_.needed);
   }
@@ -230,7 +274,7 @@ class QuorumRound {
     const bool first = ++waves_ == 1;
     const bool probe = waves_ % kProbeEvery == 0;
     if (!first) {
-      bump(counters_.retransmits);
+      bump(counters_.retransmit_waves);
       ASNAP_TRACE_EVENT(trace::EventKind::kAbdRetransmit, p_.pid, p_.rid);
       backoff_.grow();
     }

@@ -29,16 +29,4 @@ RemoteRegisterClient::try_query(std::uint64_t reg) {
   return client_.query(reg);
 }
 
-RemoteRegisterClient::Stats RemoteRegisterClient::stats() const {
-  return Stats{load(counters_.rounds),
-               load(counters_.fast_reads),
-               load(counters_.fast_fallbacks),
-               load(counters_.retransmits),
-               load(counters_.dup_replies),
-               load(counters_.stale_epoch_replies),
-               load(counters_.round_timeouts),
-               load(counters_.requests),
-               load(counters_.hedges)};
-}
-
 }  // namespace asnap::abd

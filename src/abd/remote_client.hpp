@@ -46,36 +46,6 @@ class RemoteRegisterClient {
   /// value is empty with ts == 0: never written.
   using ReadResult = Versioned<net::wire::Bytes>;
 
-  struct Stats {
-    /// Protocol rounds started (query / write / write-back); retransmission
-    /// waves within a round are counted separately below.
-    std::uint64_t protocol_rounds = 0;
-    std::uint64_t fast_reads = 0;       ///< reads that skipped write-back
-    std::uint64_t fast_fallbacks = 0;   ///< reads that fell back to slow path
-    std::uint64_t retransmit_waves = 0;
-    std::uint64_t dup_replies = 0;
-    std::uint64_t stale_epoch_replies = 0;
-    std::uint64_t round_timeouts = 0;
-    /// Request frames the rounds sent (first waves, hedges, retransmission
-    /// waves): the socket path's messages, confirms aside.
-    std::uint64_t requests = 0;
-    std::uint64_t hedges = 0;  ///< majority-first reads that widened
-
-    /// Totals over several clients.
-    Stats& operator+=(const Stats& o) {
-      protocol_rounds += o.protocol_rounds;
-      fast_reads += o.fast_reads;
-      fast_fallbacks += o.fast_fallbacks;
-      retransmit_waves += o.retransmit_waves;
-      dup_replies += o.dup_replies;
-      stale_epoch_replies += o.stale_epoch_replies;
-      round_timeouts += o.round_timeouts;
-      requests += o.requests;
-      hedges += o.hedges;
-      return *this;
-    }
-  };
-
   RemoteRegisterClient(std::vector<net::Endpoint> replicas,
                        std::uint64_t client_id, AbdConfig config = {});
 
@@ -95,7 +65,8 @@ class RemoteRegisterClient {
   /// than serving it to an application).
   std::optional<ReadResult> try_query(std::uint64_t reg);
 
-  Stats stats() const;
+  /// This client's protocol counters (abd::Counters).
+  CounterValues stats() const { return load(counters_); }
   std::uint64_t reconnects() const { return bus_.reconnects(); }
 
  private:

@@ -38,9 +38,6 @@ struct SupervisorConfig {
   /// attempt. Gives chaos runs a real outage window instead of instant
   /// resurrection.
   std::chrono::microseconds restart_delay{2'000};
-  /// Backoff between failed recover() attempts (no majority reachable).
-  std::chrono::microseconds initial_backoff{1'000};
-  std::chrono::microseconds max_backoff{32'000};
 };
 
 template <typename V>
@@ -55,6 +52,10 @@ class AbdSupervisor {
 
   AbdSupervisor(const AbdSupervisor&) = delete;
   AbdSupervisor& operator=(const AbdSupervisor&) = delete;
+
+  /// Backoff between failed recover() attempts (no majority reachable).
+  static constexpr std::chrono::microseconds kInitialBackoff{1'000};
+  static constexpr std::chrono::microseconds kMaxBackoff{32'000};
 
   /// Completed recoveries (recover() returned true for a node this
   /// supervisor observed down).
@@ -100,7 +101,7 @@ class AbdSupervisor {
         if (!down[node]) {
           down[node] = Outage{
               now, now + cfg_.restart_delay,
-              RetryBackoff(cfg_.initial_backoff, cfg_.max_backoff)};
+              RetryBackoff(kInitialBackoff, kMaxBackoff)};
           continue;
         }
         if (now < down[node]->next_attempt) continue;

@@ -60,8 +60,9 @@ FastReadInversion run_fastread_inversion(const abd::AbdConfig& config,
   const lin::History history = recorder.take();
   out.history_ops = history.total_ops();
   out.violation = lin::check_single_writer(history);
-  out.fast_reads = cluster.fast_reads();
-  out.fast_fallbacks = cluster.fast_fallbacks();
+  const abd::CounterValues counters = cluster.counters();
+  out.fast_reads = counters.fast_reads;
+  out.fast_fallbacks = counters.fast_fallbacks;
   return out;
 }
 

@@ -20,6 +20,20 @@ using Clock = std::chrono::steady_clock;
 using lin::Tag;
 using Snapshot = abd::MessagePassingSnapshot<Tag>;
 
+/// random_schedule's outage and partition lengths, drawn uniformly.
+constexpr std::chrono::milliseconds kMinOutage{20}, kMaxOutage{120};
+constexpr std::chrono::milliseconds kMinPartition{20}, kMaxPartition{80};
+/// Liveness watchdog: a healthy worker stuck for this long is flagged.
+constexpr std::chrono::seconds kWatchdogStall{2};
+/// Pause between a worker's failed attempt and its retry.
+constexpr std::chrono::microseconds kRetryPause{200};
+/// After injection stops and the network heals, all nodes must be alive
+/// within this long ("every auto-recovery converges").
+constexpr std::chrono::seconds kConvergenceTimeout{5};
+/// Healthy-network tail before shutdown, letting pending same-tag retries
+/// resolve so few updates end indeterminate.
+constexpr std::chrono::milliseconds kQuiesceTail{100};
+
 std::chrono::microseconds uniform_between(Rng& rng,
                                           std::chrono::microseconds lo,
                                           std::chrono::microseconds hi) {
@@ -38,20 +52,9 @@ Schedule random_schedule(std::size_t nodes, const ChaosProfile& profile,
   const auto dur_us = static_cast<std::uint64_t>(profile.duration.count());
   const std::size_t max_down = nodes >= 1 ? (nodes - 1) / 2 : 0;
 
-  // Lossy-network plan: flat from t=0, or ramped to full drop_prob across
-  // the first half of the run.
-  if (profile.loss_ramp_steps > 0) {
-    for (std::uint32_t s = 1; s <= profile.loss_ramp_steps; ++s) {
-      Action a;
-      a.kind = ActionKind::kSetFaultPlan;
-      a.at = profile.duration / 2 * (s - 1) / profile.loss_ramp_steps;
-      a.plan = profile.plan;
-      a.plan.drop_prob =
-          profile.plan.drop_prob * s / profile.loss_ramp_steps;
-      sched.actions.push_back(std::move(a));
-    }
-  } else if (profile.plan.drop_prob > 0 || profile.plan.dup_prob > 0 ||
-             profile.plan.delay_prob > 0) {
+  // Lossy-network plan from t=0.
+  if (profile.plan.drop_prob > 0 || profile.plan.dup_prob > 0 ||
+      profile.plan.delay_prob > 0) {
     Action a;
     a.kind = ActionKind::kSetFaultPlan;
     a.plan = profile.plan;
@@ -69,8 +72,7 @@ Schedule random_schedule(std::size_t nodes, const ChaosProfile& profile,
       static_cast<std::size_t>(profile.crash_rate_hz * dur_s + 0.5);
   for (std::size_t c = 0; c < n_crashes && dur_us > 0; ++c) {
     const auto at = std::chrono::microseconds(rng.below(dur_us));
-    const auto len =
-        uniform_between(rng, profile.min_outage, profile.max_outage);
+    const auto len = uniform_between(rng, kMinOutage, kMaxOutage);
     const auto end = std::min(at + len, profile.duration);
     const auto node = static_cast<net::NodeId>(rng.below(nodes));
     std::size_t concurrent = 0;
@@ -108,8 +110,7 @@ Schedule random_schedule(std::size_t nodes, const ChaosProfile& profile,
       static_cast<std::size_t>(profile.partition_rate_hz * dur_s + 0.5);
   for (std::size_t c = 0; c < n_parts && dur_us > 0; ++c) {
     const auto at = std::chrono::microseconds(rng.below(dur_us));
-    const auto len =
-        uniform_between(rng, profile.min_partition, profile.max_partition);
+    const auto len = uniform_between(rng, kMinPartition, kMaxPartition);
     const auto end = std::min(at + len, profile.duration);
     bool clash = false;
     for (const Window& w : windows) {
@@ -162,9 +163,9 @@ RunReport run(const OrchestratorOptions& opt) {
   // Injection-side view of the cluster, shared with the watchdog: which
   // nodes the current partition isolates from the main component, and
   // which crash injections await their first suspicion (detection
-  // latency). Declared before `snap` so the detector callback and worker
-  // threads (joined by snap's destructor / inner scopes) never outlive
-  // them.
+  // latency). Declared before `snap` and the detector, so the detector
+  // callback and the worker threads (joined by the inner scope) never
+  // outlive them.
   std::vector<std::atomic<bool>> isolated(n);
   std::vector<std::atomic<std::uint64_t>> crash_pending(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -173,22 +174,24 @@ RunReport run(const OrchestratorOptions& opt) {
   }
 
   Snapshot snap(n, Tag{}, opt.seed, opt.abd);
-  if (opt.self_healing) {
-    Snapshot::SelfHealingConfig heal;
-    heal.detector = opt.detector;
-    heal.supervisor = opt.supervisor;
-    heal.detector_callback = [&](net::NodeId, net::NodeId target,
-                                 bool suspected) {
-      if (!suspected) return;
-      // First suspicion after an injected crash claims the pending stamp.
-      const std::uint64_t t =
-          crash_pending[target].exchange(0, std::memory_order_acq_rel);
-      if (t == 0) return;
-      std::lock_guard lock(report_mu);
-      report.detection_latencies.emplace_back(now_ns() - t);
-    };
-    snap.enable_self_healing(heal);
-  }
+  abd::AbdCluster<Snapshot::Record>& cluster = snap.cluster();
+  // The self-healing layer, declared after the snapshot so that it stops
+  // first: a detector whose suspicions arm the breaker, then a supervisor
+  // that restarts crashed nodes.
+  net::FailureDetector detector(
+      cluster.network(), opt.detector,
+      [&](net::NodeId, net::NodeId target, bool suspected) {
+        if (!suspected) return;
+        // First suspicion after an injected crash claims the pending stamp.
+        const std::uint64_t t =
+            crash_pending[target].exchange(0, std::memory_order_acq_rel);
+        if (t == 0) return;
+        std::lock_guard lock(report_mu);
+        report.detection_latencies.emplace_back(now_ns() - t);
+      });
+  cluster.attach_detector(&detector);
+  const abd::AbdSupervisor<Snapshot::Record> supervisor(cluster,
+                                                        opt.supervisor);
 
   lin::Recorder recorder(n);
   std::vector<WorkerState> workers_state(n);
@@ -200,7 +203,7 @@ RunReport run(const OrchestratorOptions& opt) {
   const auto usable_count = [&] {
     std::size_t usable = 0;
     for (std::size_t p = 0; p < n; ++p) {
-      if (!snap.crashed(static_cast<ProcessId>(p)) &&
+      if (!cluster.crashed(static_cast<ProcessId>(p)) &&
           !isolated[p].load(std::memory_order_relaxed)) {
         ++usable;
       }
@@ -211,19 +214,19 @@ RunReport run(const OrchestratorOptions& opt) {
   const auto apply = [&](const Action& a) {
     switch (a.kind) {
       case ActionKind::kCrash: {
-        if (snap.crashed(a.node)) break;
+        if (cluster.crashed(a.node)) break;
         // Refuse an injection that would leave the main component without
         // a majority: the schedule's safety rail assumed outage windows
         // that self-healing may have reshaped.
         std::size_t usable_after = 0;
         for (std::size_t p = 0; p < n; ++p) {
-          if (p != a.node && !snap.crashed(static_cast<ProcessId>(p)) &&
+          if (p != a.node && !cluster.crashed(static_cast<ProcessId>(p)) &&
               !isolated[p].load(std::memory_order_relaxed)) {
             ++usable_after;
           }
         }
         if (usable_after < majority) break;
-        snap.crash(a.node);
+        cluster.crash(a.node);
         crash_pending[a.node].store(now_ns(), std::memory_order_release);
         ++report.crashes_injected;
         ASNAP_TRACE_EVENT(trace::EventKind::kChaosAction, 0,
@@ -233,13 +236,13 @@ RunReport run(const OrchestratorOptions& opt) {
       case ActionKind::kRecover:
         // Fallback restart; races (and loses to) the supervisor by design —
         // recover() of a live node is a no-op.
-        snap.recover(a.node);
+        cluster.recover(a.node);
         ASNAP_TRACE_EVENT(trace::EventKind::kChaosAction, 0,
                           static_cast<std::uint64_t>(a.kind), a.node);
         break;
       case ActionKind::kPartition: {
         if (a.groups.empty()) break;
-        snap.partition(a.groups);
+        cluster.partition(a.groups);
         // Everything outside the largest group is isolated.
         std::size_t main_group = 0;
         for (std::size_t g = 1; g < a.groups.size(); ++g) {
@@ -258,7 +261,7 @@ RunReport run(const OrchestratorOptions& opt) {
         break;
       }
       case ActionKind::kHeal:
-        snap.heal();
+        cluster.heal();
         for (std::size_t p = 0; p < n; ++p) {
           isolated[p].store(false, std::memory_order_relaxed);
         }
@@ -266,7 +269,7 @@ RunReport run(const OrchestratorOptions& opt) {
                           static_cast<std::uint64_t>(a.kind), 0);
         break;
       case ActionKind::kSetFaultPlan:
-        snap.set_fault_plan(a.plan);
+        cluster.set_fault_plan(a.plan);
         ASNAP_TRACE_EVENT(
             trace::EventKind::kChaosAction, 0,
             static_cast<std::uint64_t>(a.kind),
@@ -280,7 +283,7 @@ RunReport run(const OrchestratorOptions& opt) {
     for (std::size_t p = 0; p < n; ++p) {
       workers.emplace_back([&, p] {
         worker_loop(snap, recorder, workers_state[p],
-                    static_cast<ProcessId>(p), opt.op_retry_pause,
+                    static_cast<ProcessId>(p), kRetryPause,
                     std::chrono::microseconds(0), stop);
       });
     }
@@ -294,7 +297,7 @@ RunReport run(const OrchestratorOptions& opt) {
       const auto stall =
           static_cast<std::uint64_t>(std::chrono::duration_cast<
                                          std::chrono::nanoseconds>(
-                                         opt.watchdog_stall)
+                                         kWatchdogStall)
                                          .count());
       while (!st.stop_requested()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -310,10 +313,10 @@ RunReport run(const OrchestratorOptions& opt) {
           // A node that came back before anyone suspected it forfeits its
           // detection-latency sample; expire the stamp so a later unrelated
           // suspicion cannot claim it.
-          if (!snap.crashed(static_cast<ProcessId>(p))) {
+          if (!cluster.crashed(static_cast<ProcessId>(p))) {
             crash_pending[p].store(0, std::memory_order_relaxed);
           }
-          if (!quorum || snap.crashed(static_cast<ProcessId>(p)) ||
+          if (!quorum || cluster.crashed(static_cast<ProcessId>(p)) ||
               isolated[p].load(std::memory_order_relaxed)) {
             healthy_since[p] = now;
             continue;
@@ -349,53 +352,34 @@ RunReport run(const OrchestratorOptions& opt) {
     std::this_thread::sleep_until(start + opt.duration);
 
     // Injection over: heal the network and demand convergence.
-    snap.heal();
+    cluster.heal();
     for (std::size_t p = 0; p < n; ++p) {
       isolated[p].store(false, std::memory_order_relaxed);
     }
-    snap.set_fault_plan(net::FaultPlan{});
-    if (!opt.self_healing) {
-      for (std::size_t p = 0; p < n; ++p) {
-        if (snap.crashed(static_cast<ProcessId>(p))) {
-          snap.recover(static_cast<ProcessId>(p));
-        }
-      }
-    }
-    const auto converge_by = Clock::now() + opt.convergence_timeout;
-    while (snap.alive_count() < n && Clock::now() < converge_by) {
+    cluster.set_fault_plan(net::FaultPlan{});
+    const auto converge_by = Clock::now() + kConvergenceTimeout;
+    while (cluster.alive_count() < n && Clock::now() < converge_by) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    if (snap.alive_count() < n) {
-      add_violation("liveness: " + std::to_string(n - snap.alive_count()) +
+    if (cluster.alive_count() < n) {
+      add_violation("liveness: " + std::to_string(n - cluster.alive_count()) +
                     " node(s) still down after the convergence timeout");
     }
 
     // Healthy-network tail so pending same-tag retries resolve.
-    std::this_thread::sleep_for(opt.quiesce_tail);
+    std::this_thread::sleep_for(kQuiesceTail);
     watchdog.request_stop();
     watchdog.join();
     stop.store(true, std::memory_order_relaxed);
   }  // workers join
 
   finish(recorder, workers_state, report);
-  if (const net::FailureDetector* fd = snap.detector()) {
-    report.suspicions = fd->suspicions();
-    report.trusts = fd->trusts();
-  }
-  if (const auto* sup = snap.supervisor()) {
-    report.recoveries = sup->recoveries();
-    report.failed_recovery_attempts = sup->failed_attempts();
-    report.recovery_latencies = sup->recovery_latencies();
-  }
-  report.protocol_rounds = snap.protocol_rounds();
-  report.fast_reads = snap.fast_reads();
-  report.fast_fallbacks = snap.fast_fallbacks();
-  report.retransmits = snap.retransmits_sent();
-  report.round_timeouts = snap.round_timeouts();
-  report.breaker_skips = snap.breaker_skips();
-  report.fail_fasts = snap.fail_fasts();
-  report.stale_epoch_replies = snap.stale_epoch_replies();
-  report.messages_sent = snap.messages_sent();
+  report.suspicions = detector.suspicions();
+  report.trusts = detector.trusts();
+  report.recoveries = supervisor.recoveries();
+  report.failed_recovery_attempts = supervisor.failed_attempts();
+  report.recovery_latencies = supervisor.recovery_latencies();
+  report.counters = cluster.counters();
   return report;
 }
 

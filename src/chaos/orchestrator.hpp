@@ -4,9 +4,10 @@
 // Runs the Section 6 message-passing snapshot (MessagePassingSnapshot over
 // lin::Tag values) with one worker per node issuing degraded-mode updates
 // and scans, while a schedule (schedule.hpp) crashes/recovers nodes,
-// partitions/heals the network and ramps message loss — and the
-// self-healing layer (failure detector, circuit breaker, supervisor)
-// repairs the damage. Three verdicts come out:
+// partitions/heals the network and injects message loss — and the
+// self-healing layer (failure detector, circuit breaker, supervisor) that
+// run() builds over the cluster repairs the damage. Three verdicts come
+// out:
 //
 //   * SAFETY — the workers and the closing check are workload.hpp's:
 //     every completed operation is recorded, timed-out updates are retried
@@ -55,9 +56,9 @@ struct OrchestratorOptions {
     return c;
   }();
 
-  /// Failure detector + supervisor; disable to measure the un-healed
-  /// baseline or to hand-drive recovery from the schedule alone.
-  bool self_healing = true;
+  /// The self-healing layer run() builds over the cluster: a failure
+  /// detector whose suspicions arm the breaker, and a supervisor that
+  /// restarts crashed nodes.
   net::DetectorConfig detector;
   /// Chaos default: the "reboot" (restart_delay) takes longer than failure
   /// detection (DetectorConfig::initial_timeout), as it would in a real
@@ -68,17 +69,6 @@ struct OrchestratorOptions {
     s.restart_delay = std::chrono::milliseconds(20);
     return s;
   }();
-
-  /// Liveness watchdog: a healthy worker stuck for this long is flagged.
-  std::chrono::microseconds watchdog_stall{std::chrono::seconds(2)};
-  /// Pause between a worker's failed attempt and its retry.
-  std::chrono::microseconds op_retry_pause{200};
-  /// After injection stops and the network heals, all nodes must be alive
-  /// within this long ("every auto-recovery converges").
-  std::chrono::microseconds convergence_timeout{std::chrono::seconds(5)};
-  /// Extra tail of healthy-network workload before shutdown, letting
-  /// pending same-tag retries resolve so few updates end indeterminate.
-  std::chrono::microseconds quiesce_tail{std::chrono::milliseconds(100)};
 };
 
 struct RunReport : WorkloadReport {
@@ -91,17 +81,6 @@ struct RunReport : WorkloadReport {
   std::uint64_t failed_recovery_attempts = 0;
   std::vector<std::chrono::nanoseconds> detection_latencies;
   std::vector<std::chrono::nanoseconds> recovery_latencies;
-
-  // Cluster counters.
-  std::uint64_t protocol_rounds = 0;
-  std::uint64_t fast_reads = 0;
-  std::uint64_t fast_fallbacks = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t round_timeouts = 0;
-  std::uint64_t breaker_skips = 0;
-  std::uint64_t fail_fasts = 0;
-  std::uint64_t stale_epoch_replies = 0;
-  std::uint64_t messages_sent = 0;
 };
 
 /// Execute one chaos scenario to completion. Deterministically seeded up to

@@ -151,8 +151,7 @@ void ProcessCluster::supervise(std::stop_token st) {
             p.respawn_at = now + config_.restart_delay;
           }
         }
-        if (p.down && p.want_up && config_.auto_restart &&
-            now >= p.respawn_at) {
+        if (p.down && p.want_up && now >= p.respawn_at) {
           if (spawn_locked(i)) {
             ++report_.restarts;
             report_.restart_latencies_ms.push_back(

@@ -42,7 +42,6 @@ struct ProcessClusterConfig {
   std::vector<net::Endpoint> endpoints;  ///< one per replica, id order
   std::uint64_t regs = 16;    ///< register universe the daemons resync
   std::chrono::milliseconds restart_delay{200};
-  bool auto_restart = true;
   /// Put a net::ChaosProxy in front of every replica and hand CLIENTS the
   /// proxied endpoints (client_endpoints()). The daemons themselves still
   /// peer over the direct endpoints, so a recovering replica's resync
@@ -81,8 +80,8 @@ class ProcessCluster {
   /// use it directly (set_all / blackhole / flap / kill_connections).
   net::ChaosProxy* proxy() { return proxy_.get(); }
 
-  /// SIGKILL replica i. The supervisor respawns it after restart_delay
-  /// (auto_restart) — recovery then happens inside the new incarnation.
+  /// SIGKILL replica i. The supervisor respawns it after restart_delay —
+  /// recovery then happens inside the new incarnation.
   bool kill9(std::size_t i);
   /// SIGSTOP / SIGCONT replica i (frozen, not dead: no EOF to its peers).
   bool stall(std::size_t i);

@@ -2,7 +2,7 @@
 //
 // A Schedule is a time-ordered list of fault actions the orchestrator
 // (orchestrator.hpp) injects into a running cluster: crash/recover a node,
-// partition/heal the network, swap the lossy-network FaultPlan (ramps).
+// partition/heal the network, install a lossy-network FaultPlan.
 // Schedules are DATA — a scenario is reproducible from (profile, seed)
 // alone, and hand-written schedules express targeted regressions (e.g. the
 // partition that the negative breaker test needs).
@@ -16,7 +16,7 @@
 //   * every kCrash is paired with a fallback kRecover at outage end. The
 //     self-healing supervisor normally restarts the node much earlier; the
 //     fallback rides on recover()'s double-recover no-op and only matters
-//     when self-healing is disabled or wedged.
+//     when the supervisor is held off or wedged.
 #pragma once
 
 #include <chrono>
@@ -32,7 +32,7 @@ enum class ActionKind : std::uint8_t {
   kRecover = 1,   ///< restart `node` (no-op if already live)
   kPartition = 2, ///< split the cluster into `groups`
   kHeal = 3,      ///< reconnect all partition groups
-  kSetFaultPlan = 4,  ///< install `plan` (loss/dup/delay ramp step)
+  kSetFaultPlan = 4,  ///< install `plan` (loss/dup/delay)
 };
 
 struct Action {
@@ -49,22 +49,15 @@ struct Schedule {
 
 /// Tunable shape of a random schedule. Rates are expected events per
 /// second of run duration; each crash keeps its node down for a uniform
-/// outage in [min_outage, max_outage] (the supervisor usually restarts it
-/// after its own restart_delay, whichever comes first), and each partition
-/// isolates a random minority for a uniform [min_partition, max_partition].
+/// outage in [20, 120] ms (the supervisor usually restarts it after its own
+/// restart_delay, whichever comes first), and each partition isolates a
+/// random minority for a uniform [20, 80] ms.
 struct ChaosProfile {
   std::chrono::microseconds duration{std::chrono::seconds(2)};
   double crash_rate_hz = 2.0;
-  std::chrono::microseconds min_outage{std::chrono::milliseconds(20)};
-  std::chrono::microseconds max_outage{std::chrono::milliseconds(120)};
   double partition_rate_hz = 0.5;
-  std::chrono::microseconds min_partition{std::chrono::milliseconds(20)};
-  std::chrono::microseconds max_partition{std::chrono::milliseconds(80)};
-  /// Steady-state lossy-network plan, installed at t=0 — or ramped to it
-  /// in loss_ramp_steps equal increments of drop_prob across the first
-  /// half of the run when loss_ramp_steps > 0.
+  /// Lossy-network plan, installed at t=0.
   net::FaultPlan plan;
-  std::uint32_t loss_ramp_steps = 0;
 };
 
 /// Deterministic schedule from (nodes, profile, seed).

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "abd/core.hpp"
 #include "common/config.hpp"
 #include "lin/history.hpp"
 #include "trace/histogram.hpp"
@@ -132,6 +133,9 @@ struct WorkloadReport {
   // latency spans all retries of its tag (availability view, not raw RTT).
   trace::LogHistogram update_latency_ns;
   trace::LogHistogram scan_latency_ns;
+
+  /// The ABD protocol counters of the run's clients, summed by the runner.
+  abd::CounterValues counters;
 };
 
 /// Closes a run once every worker (workers[p] ran as process p) has joined:

@@ -132,10 +132,11 @@ void FailureDetector::run_node(std::stop_token st, NodeId self) {
       ASNAP_TRACE_EVENT(trace::EventKind::kTrust, self, j);
       if (inc == known_inc[j]) {
         // Same incarnation resurfaced: we suspected a live node. Grow the
-        // penalty floor so this message-delay pattern stops fooling us
-        // (◇P convergence).
+        // penalty floor by half so this message-delay pattern stops fooling
+        // us (◇P convergence).
+        constexpr double kGrowth = 1.5;
         const auto grown = std::chrono::microseconds(static_cast<std::int64_t>(
-            static_cast<double>(timeout(j).count()) * cfg_.timeout_growth));
+            static_cast<double>(timeout(j).count()) * kGrowth));
         penalty[j] = std::min(cfg_.max_timeout, grown);
       }
       if (cb_) cb_(self, j, /*suspected=*/false);

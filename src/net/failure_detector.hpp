@@ -54,8 +54,6 @@ struct DetectorConfig {
   std::chrono::microseconds min_timeout{2'000};
   /// Ceiling for the adaptive timeout.
   std::chrono::microseconds max_timeout{64'000};
-  /// Multiplier applied to a target's timeout after a false suspicion.
-  double timeout_growth = 1.5;
   /// Adaptive timeout = EWMA of observed heartbeat gaps × this multiplier,
   /// clamped to [min_timeout, max_timeout] and never below the false-alarm
   /// penalty floor.

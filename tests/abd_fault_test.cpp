@@ -60,7 +60,7 @@ void run_matrix_case(const FaultCase& fc, std::uint64_t seed) {
   plan.delay_prob = 0.1;  // a slice of surviving traffic is also delayed
   plan.min_delay = 100us;
   plan.max_delay = 2ms;
-  snap.set_fault_plan(plan);
+  snap.cluster().set_fault_plan(plan);
 
   const std::size_t threads = std::min<std::size_t>(4, fc.nodes);
   lin::Recorder recorder(fc.nodes);
@@ -95,7 +95,7 @@ void run_matrix_case(const FaultCase& fc, std::uint64_t seed) {
         << "a lossy run must have exercised the retransmission path";
   }
   if (fc.dup) {
-    EXPECT_GT(snap.dup_replies_ignored(), 0u)
+    EXPECT_GT(snap.cluster().counters().dup_replies, 0u)
         << "duplication must have exercised the per-responder dedup";
   }
 }
@@ -166,7 +166,7 @@ TEST(AbdFault, NoMajorityTimesOutGracefullyWithinDeadline) {
   EXPECT_FALSE(read.has_value()) << "no majority: read must not succeed";
   EXPECT_EQ(write_status, OpStatus::kTimeout);
   EXPECT_LT(elapsed, 5s) << "timeout must respect the configured deadline";
-  EXPECT_GE(cluster.round_timeouts(), 2u);
+  EXPECT_GE(cluster.counters().round_timeouts, 2u);
 
   // Recover one node: a majority (3 of 5) is back and operations succeed.
   ASSERT_TRUE(cluster.recover(2));
@@ -273,8 +273,8 @@ TEST(AbdFault, PartitionThenHealMidScanStaysLinearizable) {
       // completed and the second is about to start.
       if (self->reads.fetch_add(1, std::memory_order_relaxed) ==
           static_cast<int>(kN)) {
-        self->snap->cut_link(0, 1);
-        self->snap->cut_link(0, 2);
+        self->snap->cluster().cut_link(0, 1);
+        self->snap->cluster().cut_link(0, 2);
         self->cut_done.store(true, std::memory_order_release);
       }
     }
@@ -320,8 +320,8 @@ TEST(AbdFault, PartitionThenHealMidScanStaysLinearizable) {
       << "scan must not complete while its node is partitioned away";
 
   std::this_thread::sleep_for(50ms);
-  snap.restore_link(0, 1);
-  snap.restore_link(0, 2);
+  snap.cluster().restore_link(0, 1);
+  snap.cluster().restore_link(0, 2);
   scanner.join();
   EXPECT_TRUE(scan_returned.load(std::memory_order_acquire));
 
@@ -358,7 +358,8 @@ TEST(AbdFault, DoubleRecoverIsASafeNoOp) {
 TEST(AbdFault, SnapshotStaysLinearizableAcrossCrashAndRecovery) {
   constexpr std::size_t kN = 5;
   MessagePassingSnapshot<Tag> snap(kN, Tag{}, 0xE1, fault_config());
-  snap.set_fault_plan(net::FaultPlan{.drop_prob = 0.1, .dup_prob = 0.2});
+  snap.cluster().set_fault_plan(
+      net::FaultPlan{.drop_prob = 0.1, .dup_prob = 0.2});
   lin::Recorder recorder(kN);
   auto worker = [&](ProcessId pid, std::uint64_t& seq, int ops) {
     for (int op = 0; op < ops; ++op) {
@@ -383,14 +384,14 @@ TEST(AbdFault, SnapshotStaysLinearizableAcrossCrashAndRecovery) {
       phase1.emplace_back([&, p] { worker(p, seq[p], 8); });
     }
   }
-  snap.crash(4);
+  snap.cluster().crash(4);
   {
     std::vector<std::jthread> phase2;
     for (ProcessId p = 0; p < 3; ++p) {
       phase2.emplace_back([&, p] { worker(p, seq[p], 8); });
     }
   }
-  ASSERT_TRUE(snap.recover(4));
+  ASSERT_TRUE(snap.cluster().recover(4));
   {
     std::vector<std::jthread> phase3;
     for (ProcessId p = 0; p < 4; ++p) {  // recovered node operates again
@@ -427,7 +428,7 @@ TEST(FastReadFault, ConcurrentWritesForceFallbacksAndStayLinearizable) {
   plan.delay_prob = 0.3;
   plan.min_delay = 100us;
   plan.max_delay = 2ms;
-  snap.set_fault_plan(plan);
+  snap.cluster().set_fault_plan(plan);
 
   lin::Recorder recorder(kN);
   {
@@ -494,8 +495,8 @@ TEST(FastReadFault, SuspectedReplicasDoNotBreakFastReadEvidence) {
       phase1.emplace_back([&, p] { worker(p, seq[p], 8); });
     }
   }
-  snap.crash(3);
-  snap.crash(4);  // minority down: breaker learns to skip them
+  snap.cluster().crash(3);
+  snap.cluster().crash(4);  // minority down: breaker learns to skip them
   {
     std::vector<std::jthread> phase2;
     for (ProcessId p = 0; p < 3; ++p) {
@@ -515,15 +516,16 @@ TEST(FastReadFault, SuspectedReplicasDoNotBreakFastReadEvidence) {
 TEST(FastReadFault, CrashRecoverChurnKeepsFastReadsLinearizable) {
   constexpr std::size_t kN = 5;
   MessagePassingSnapshot<Tag> snap(kN, Tag{}, 0xFA59, fault_config());
-  snap.set_fault_plan(net::FaultPlan{.drop_prob = 0.1, .dup_prob = 0.2});
+  snap.cluster().set_fault_plan(
+      net::FaultPlan{.drop_prob = 0.1, .dup_prob = 0.2});
   lin::Recorder recorder(kN);
 
   std::atomic<bool> stop{false};
   std::jthread churn([&] {
     for (int round = 0; round < 3 && !stop.load(); ++round) {
-      snap.crash(4);
+      snap.cluster().crash(4);
       std::this_thread::sleep_for(5ms);
-      while (!snap.recover(4) && !stop.load()) {
+      while (!snap.cluster().recover(4) && !stop.load()) {
         std::this_thread::sleep_for(1ms);
       }
       std::this_thread::sleep_for(5ms);

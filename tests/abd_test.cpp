@@ -13,6 +13,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +30,28 @@ namespace {
 using namespace std::chrono_literals;
 using lin::Tag;
 using Frame = net::wire::BasicFrame<int>;
+
+// --- Counters: the one list ------------------------------------------------
+
+TEST(Counters, ListWalksEveryCounterForReadingAndSumming) {
+  Counters live;
+  std::set<std::string> names;
+  std::uint64_t k = 0;
+  for_each_counter([&](const char* name, std::atomic<std::uint64_t>& counter) {
+    names.insert(name);
+    counter.store(++k);
+  }, live);
+  EXPECT_EQ(names.size() * sizeof(std::uint64_t), sizeof(CounterValues))
+      << "every declared counter is on the list, once";
+  CounterValues total = load(live);
+  total += load(live);
+  k = 0;
+  for_each_counter([&](const char* name, std::uint64_t value) {
+    EXPECT_EQ(value, 2 * ++k) << name;
+  }, total);
+  EXPECT_EQ(total.protocol_rounds, 2u);
+  EXPECT_EQ(total.stale_epoch_replies, 2 * names.size());
+}
 
 // --- QuorumRound: one client round, clock injected -------------------------
 
@@ -177,8 +200,8 @@ TEST(QuorumRound, RetransmitWavesSkipCountedReplicasOnABackoffTimer) {
   const auto t1 = kT0 + 1ms;
   EXPECT_EQ(f.wave(t1), (std::set<std::size_t>{0, 2}));
   EXPECT_EQ(f.round->retransmit_at(), t1 + 2ms) << "the timeout doubles";
-  EXPECT_EQ(load(f.counters.retransmits), 1u);
-  EXPECT_EQ(load(f.counters.rounds), 1u);
+  EXPECT_EQ(load(f.counters.retransmit_waves), 1u);
+  EXPECT_EQ(load(f.counters.protocol_rounds), 1u);
 }
 
 TEST(QuorumRound, MajorityFirstWaveAsksOnlyThePreferredReplicas) {
@@ -215,7 +238,7 @@ TEST(QuorumRound, WidenAsksOnlyReplicasNeverAskedAndIsNoRetransmission) {
       << "neither a counted replica nor a silent asked one is asked again";
   EXPECT_EQ(f.round->widen_at(), Clock::time_point::max()) << "widens once";
   EXPECT_EQ(f.round->retransmit_at(), kT0 + 1ms) << "the backoff is untouched";
-  EXPECT_EQ(load(f.counters.retransmits), 0u);
+  EXPECT_EQ(load(f.counters.retransmit_waves), 0u);
   EXPECT_FALSE(f.round->retransmitted());
   EXPECT_EQ(load(f.counters.hedges), 1u);
   EXPECT_EQ(load(f.counters.requests), 5u) << "one request per replica";
@@ -508,7 +531,7 @@ TEST(ClientTransport, TwoMatchingRepliesEndTheRoundWithTheAdoptedPair) {
   EXPECT_EQ(f.script.asked(f.script.last_rid()),
             (std::set<std::size_t>{0, 1, 2}))
       << "a resync query asks every replica";
-  EXPECT_EQ(load(f.counters.retransmits), 0u);
+  EXPECT_EQ(load(f.counters.retransmit_waves), 0u);
 }
 
 TEST(ClientTransport, NextReadAsksTheFirstTwoRespondersOfThePreviousRound) {
@@ -553,7 +576,7 @@ TEST(ClientTransport, SilentPreferredReplicaIsCoveredByTheHedgeBeforeTheRto) {
   EXPECT_EQ(f.script.asked(f.script.last_rid()),
             (std::set<std::size_t>{0, 1, 2}));
   EXPECT_EQ(load(f.counters.hedges), 1u);
-  EXPECT_EQ(load(f.counters.retransmits), 0u);
+  EXPECT_EQ(load(f.counters.retransmit_waves), 0u);
   EXPECT_EQ(load(f.counters.requests), 6u) << "3 + 2 + the hedge's 1";
 
   // The hedged round was clean: its first responders are preferred now.
@@ -599,7 +622,7 @@ TEST(ClientTransport, SilenceUntilTheDeadlineTimesOutAfterRetransmissions) {
   const auto start = Clock::now();
   EXPECT_EQ(f.client.write(0, 1, 10), OpStatus::kTimeout);
   EXPECT_GE(Clock::now() - start, 30ms) << "the deadline is waited out";
-  EXPECT_GE(load(f.counters.retransmits), 2u);
+  EXPECT_GE(load(f.counters.retransmit_waves), 2u);
   EXPECT_GT(f.script.sent.size(), 3u) << "waves after the first";
   EXPECT_EQ(load(f.counters.round_timeouts), 1u);
 }
@@ -686,10 +709,25 @@ TEST(AbdCluster, MessageCountPerOperation) {
   // Fast reads are on by default and the write above was confirmed, so the
   // read is ONE round: one broadcast plus at least the majority of replies,
   // at most 2n — and strictly fewer messages than the old two-round floor.
-  EXPECT_EQ(cluster.fast_reads(), 1u);
-  EXPECT_EQ(cluster.fast_fallbacks(), 0u);
+  EXPECT_EQ(cluster.counters().fast_reads, 1u);
+  EXPECT_EQ(cluster.counters().fast_fallbacks, 0u);
   EXPECT_GE(read_msgs, kNodes + cluster.majority());
   EXPECT_LT(read_msgs, 2 * kNodes + cluster.majority());
+}
+
+TEST(AbdCluster, CountersShowAFullWavePerRound) {
+  AbdConfig config;
+  config.initial_rto = std::chrono::seconds(1);  // no retransmission wave
+  config.max_rto = std::chrono::seconds(1);
+  AbdCluster<int> cluster(3, 1, 0, /*seed=*/1, config);
+  (void)cluster.read(0, 1);
+  const CounterValues counters = cluster.counters();
+  EXPECT_EQ(counters.protocol_rounds, 1u) << "a fast read is one round";
+  EXPECT_EQ(counters.fast_reads, 1u);
+  EXPECT_EQ(counters.retransmit_waves, 0u);
+  EXPECT_EQ(counters.hedges, 0u);
+  EXPECT_EQ(counters.requests, 3u)
+      << "the in-process cluster asks every replica, not a majority first";
 }
 
 TEST(AbdCluster, MessageCountPerOperationSlowPath) {
@@ -704,7 +742,7 @@ TEST(AbdCluster, MessageCountPerOperationSlowPath) {
   // Two rounds (query + write-back): at least the two broadcasts plus the
   // query-round majority; at most 4n plus the write-back confirm broadcast
   // and stragglers.
-  EXPECT_EQ(cluster.fast_reads(), 0u);
+  EXPECT_EQ(cluster.counters().fast_reads, 0u);
   EXPECT_GE(read_msgs, 2 * kNodes + cluster.majority());
   EXPECT_LE(read_msgs, 4 * kNodes + 2 * kNodes);
 }
@@ -783,8 +821,8 @@ TEST(MessagePassingSnapshot, LiveAndLinearizableAfterMinorityCrash) {
     const lin::Time res = recorder.tick();
     recorder.add_update(4, 4, Tag{4, 1}, inv, res);
   }
-  snap.crash(3);
-  snap.crash(4);
+  snap.cluster().crash(3);
+  snap.cluster().crash(4);
 
   {
     std::vector<std::jthread> threads;

@@ -19,6 +19,7 @@
 
 #include "abd/abd_register.hpp"
 #include "abd/abd_snapshot.hpp"
+#include "abd/supervisor.hpp"
 #include "chaos/orchestrator.hpp"
 #include "chaos/schedule.hpp"
 #include "chaos/workload.hpp"
@@ -140,23 +141,25 @@ TEST(FailureDetector, OutOfBandConfigIsNormalizedIntoTheClampBand) {
 // --- supervisor --------------------------------------------------------------
 
 TEST(Supervisor, AutoRecoversCrashedNodeAndRecordsLatency) {
-  abd::MessagePassingSnapshot<Tag> snap(3, Tag{}, 0x52);
-  typename abd::MessagePassingSnapshot<Tag>::SelfHealingConfig heal;
-  heal.detector = fast_detector();
-  heal.supervisor.poll_interval = 200us;
-  heal.supervisor.restart_delay = 1ms;
-  snap.enable_self_healing(heal);
+  using Snapshot = abd::MessagePassingSnapshot<Tag>;
+  Snapshot snap(3, Tag{}, 0x52);
+  abd::SupervisorConfig cfg;
+  cfg.poll_interval = 200us;
+  cfg.restart_delay = 1ms;
+  // It polls the crash flags, so it needs no detector. Declared after the
+  // snapshot, so it stops first.
+  const abd::AbdSupervisor<Snapshot::Record> supervisor(snap.cluster(), cfg);
 
   snap.update(0, Tag{0, 1});
-  snap.crash(2);
-  ASSERT_NE(snap.supervisor(), nullptr);
+  snap.cluster().crash(2);
   // Poll the supervisor's own counter (not crashed()): the node flips to
   // alive inside recover(), an instant before the counter is bumped.
-  ASSERT_TRUE(eventually([&] { return snap.supervisor()->recoveries() >= 1; }))
+  ASSERT_TRUE(eventually([&] { return supervisor.recoveries() >= 1; }))
       << "the supervisor must restart the crashed node on its own";
-  EXPECT_FALSE(snap.crashed(2));
-  EXPECT_FALSE(snap.supervisor()->recovery_latencies().empty());
-  EXPECT_GE(snap.epoch(2), 1u) << "recovery must bump the node's epoch";
+  EXPECT_FALSE(snap.cluster().crashed(2));
+  EXPECT_FALSE(supervisor.recovery_latencies().empty());
+  EXPECT_GE(snap.cluster().epoch(2), 1u)
+      << "recovery must bump the node's epoch";
 
   // The healed cluster serves a full workload again, node 2 included.
   snap.update(2, Tag{2, 1});
@@ -174,17 +177,16 @@ TEST(Breaker, FailsFastOnceMajorityIsSuspected) {
   config.breaker.enabled = true;
   config.breaker.fail_fast_grace = 10ms;
   abd::MessagePassingSnapshot<Tag> snap(3, Tag{}, 0x53, config);
-  typename abd::MessagePassingSnapshot<Tag>::SelfHealingConfig heal;
-  heal.detector = fast_detector();
-  heal.supervisor.restart_delay = 60s;  // park it: the outage must persist
-  snap.enable_self_healing(heal);
+  // No supervisor: the outage must persist.
+  const net::FailureDetector detector(snap.cluster().network(),
+                                      fast_detector());
+  snap.cluster().attach_detector(&detector);
 
   snap.update(0, Tag{0, 1});
-  snap.crash(1);
-  snap.crash(2);
-  ASSERT_NE(snap.detector(), nullptr);
+  snap.cluster().crash(1);
+  snap.cluster().crash(2);
   ASSERT_TRUE(eventually([&] {
-    return snap.detector()->suspected(0, 1) && snap.detector()->suspected(0, 2);
+    return detector.suspected(0, 1) && detector.suspected(0, 2);
   }));
 
   const auto start = std::chrono::steady_clock::now();
@@ -193,7 +195,7 @@ TEST(Breaker, FailsFastOnceMajorityIsSuspected) {
   EXPECT_LT(elapsed, 5s)
       << "with a majority suspected the round must fail fast, not ride out "
          "the full operation deadline";
-  EXPECT_GE(snap.fail_fasts(), 1u);
+  EXPECT_GE(snap.cluster().counters().fail_fasts, 1u);
 }
 
 TEST(Breaker, NeverShrinksTheQuorum) {
@@ -202,18 +204,17 @@ TEST(Breaker, NeverShrinksTheQuorum) {
   abd::AbdConfig config;
   config.breaker.enabled = true;
   abd::MessagePassingSnapshot<Tag> snap(3, Tag{}, 0x54, config);
-  typename abd::MessagePassingSnapshot<Tag>::SelfHealingConfig heal;
-  heal.detector = fast_detector();
-  heal.supervisor.restart_delay = 60s;
-  snap.enable_self_healing(heal);
+  const net::FailureDetector detector(snap.cluster().network(),
+                                      fast_detector());
+  snap.cluster().attach_detector(&detector);
 
-  snap.crash(2);
-  ASSERT_TRUE(eventually([&] { return snap.detector()->suspected(0, 2); }));
+  snap.cluster().crash(2);
+  ASSERT_TRUE(eventually([&] { return detector.suspected(0, 2); }));
   EXPECT_TRUE(snap.try_update(0, Tag{0, 1}));
   const auto view = snap.try_scan(1);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ((*view)[0], (Tag{0, 1}));
-  EXPECT_GT(snap.breaker_skips(), 0u)
+  EXPECT_GT(snap.cluster().counters().breaker_skips, 0u)
       << "rounds must have skipped the suspected replica";
 }
 

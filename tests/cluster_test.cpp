@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "abd/remote_client.hpp"
+#include "abd/remote_snapshot.hpp"
 #include "abd/wal.hpp"
 #include "chaos/process_orchestrator.hpp"
 #include "net/socket.hpp"
@@ -637,6 +638,26 @@ TEST_F(ClusterTest, CleanReadsAskAMajority) {
   // beside the other suites under `ctest -j4`.
   EXPECT_LE(static_cast<double>(requests) / kReads, 2.5)
       << hedges << " hedges, " << waves << " retransmission waves";
+}
+
+TEST_F(ClusterTest, RemoteSnapshotScanReturnsAnotherClientsUpdates) {
+  abd::RemoteSnapshot writer(cluster_->endpoints(), 11, 3, client_config());
+  abd::RemoteSnapshot scanner(cluster_->endpoints(), 12, 3, client_config());
+  ASSERT_TRUE(writer.try_update(0, lin::Tag{0, 1}));
+  ASSERT_TRUE(writer.try_update(1, lin::Tag{1, 2}));
+  const auto view = scanner.try_scan(2);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(*view,
+            (std::vector<lin::Tag>{lin::Tag{0, 1}, lin::Tag{1, 2}, lin::Tag{}}))
+      << "word 2 was never written: it reads as the initial tag";
+}
+
+TEST_F(ClusterTest, RemoteSnapshotScanFailsOnAValueThatIsNoTag) {
+  abd::RemoteRegisterClient raw(cluster_->endpoints(), 13, client_config());
+  ASSERT_EQ(raw.try_write(0, 1, net::wire::encode_u64(5)), abd::OpStatus::kOk);
+  abd::RemoteSnapshot scanner(cluster_->endpoints(), 14, 3, client_config());
+  EXPECT_FALSE(scanner.try_scan(0).has_value())
+      << "an 8-byte value must not scan as a default tag";
 }
 
 TEST_F(ClusterTest, ReadsCompleteWithAPreferredReplicaStopped) {

@@ -49,11 +49,11 @@ AbdConfig fast_config() {
 TEST(FastRead, ConfirmedWriteReadsInOneRound) {
   AbdCluster<int> cluster(5, 1, 0, /*seed=*/1, fast_config());
   cluster.write(0, 0, 7);
-  const std::uint64_t rounds_before = cluster.protocol_rounds();
+  const std::uint64_t rounds_before = cluster.counters().protocol_rounds;
   EXPECT_EQ(cluster.read(0, 1), 7);
-  EXPECT_EQ(cluster.fast_reads(), 1u);
-  EXPECT_EQ(cluster.fast_fallbacks(), 0u);
-  EXPECT_EQ(cluster.protocol_rounds() - rounds_before, 1u)
+  EXPECT_EQ(cluster.counters().fast_reads, 1u);
+  EXPECT_EQ(cluster.counters().fast_fallbacks, 0u);
+  EXPECT_EQ(cluster.counters().protocol_rounds - rounds_before, 1u)
       << "a fast read is exactly one (query) round";
 }
 
@@ -62,8 +62,8 @@ TEST(FastRead, UnwrittenRegisterIsUnanimousAndFast) {
   // majority-stored, even though ts = 0 is never confirmed.
   AbdCluster<int> cluster(3, 1, -1, /*seed=*/2, fast_config());
   EXPECT_EQ(cluster.read(0, 1), -1);
-  EXPECT_EQ(cluster.fast_reads(), 1u);
-  EXPECT_EQ(cluster.fast_fallbacks(), 0u);
+  EXPECT_EQ(cluster.counters().fast_reads, 1u);
+  EXPECT_EQ(cluster.counters().fast_fallbacks, 0u);
 }
 
 TEST(FastRead, DisabledConfigAlwaysTakesTwoRounds) {
@@ -71,12 +71,12 @@ TEST(FastRead, DisabledConfigAlwaysTakesTwoRounds) {
   config.fast_reads = false;
   AbdCluster<int> cluster(5, 1, 0, /*seed=*/3, config);
   cluster.write(0, 0, 7);
-  const std::uint64_t rounds_before = cluster.protocol_rounds();
+  const std::uint64_t rounds_before = cluster.counters().protocol_rounds;
   EXPECT_EQ(cluster.read(0, 1), 7);
-  EXPECT_EQ(cluster.fast_reads(), 0u);
-  EXPECT_EQ(cluster.fast_fallbacks(), 0u)
+  EXPECT_EQ(cluster.counters().fast_reads, 0u);
+  EXPECT_EQ(cluster.counters().fast_fallbacks, 0u)
       << "with the feature off, reads are not even counted as fallbacks";
-  EXPECT_EQ(cluster.protocol_rounds() - rounds_before, 2u)
+  EXPECT_EQ(cluster.counters().protocol_rounds - rounds_before, 2u)
       << "query + write-back";
 }
 

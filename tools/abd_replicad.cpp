@@ -54,7 +54,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -327,20 +326,20 @@ int run(const Args& args) {
 int main(int argc, char** argv) {
   using asnap::Args;
   using asnap::consume_flag;
+  constexpr const char* kTool = "abd_replicad";
   Args args;
   const std::string id = consume_flag(argc, argv, "--id");
   const std::string peers = consume_flag(argc, argv, "--peers");
   args.state_dir = consume_flag(argc, argv, "--state-dir");
-  const std::string regs = consume_flag(argc, argv, "--regs");
-  if (!asnap::no_unknown_args(argc, argv, "abd_replicad") || id.empty() ||
+  args.regs = asnap::consume_number(argc, argv, "--regs", args.regs, kTool);
+  if (!asnap::no_unknown_args(argc, argv, kTool) || id.empty() ||
       peers.empty() || args.state_dir.empty()) {
     std::fprintf(stderr,
                  "usage: abd_replicad --id I --peers host:port,... "
                  "--state-dir DIR [--regs N]\n");
     return 2;
   }
-  args.id = std::strtoull(id.c_str(), nullptr, 10);
-  if (!regs.empty()) args.regs = std::strtoull(regs.c_str(), nullptr, 10);
+  args.id = asnap::parse_flag<std::size_t>(id, "--id", kTool);
   const auto parsed = asnap::net::parse_endpoints(peers);
   if (!parsed.has_value() || args.id >= parsed->size()) {
     std::fprintf(stderr, "abd_replicad: bad --peers/--id\n");

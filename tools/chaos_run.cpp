@@ -157,13 +157,13 @@ void print_workload(const chaos::WorkloadReport& r) {
       (unsigned long long)r.indeterminate_updates, r.history_ops);
 }
 
-void print_rounds(std::uint64_t rounds, std::uint64_t fast_reads,
-                  std::uint64_t fast_fallbacks) {
-  std::printf(
-      "  rounds      : %llu protocol rounds, %llu fast reads, %llu fast "
-      "fallbacks\n",
-      (unsigned long long)rounds, (unsigned long long)fast_reads,
-      (unsigned long long)fast_fallbacks);
+/// The ABD clients' counters, summed over the run's clients.
+void print_counters(const abd::CounterValues& counters) {
+  std::printf("  counters    :");
+  abd::for_each_counter([](const char* name, std::uint64_t value) {
+    std::printf(" %s %llu", name, (unsigned long long)value);
+  }, counters);
+  std::printf("\n");
 }
 
 void print_verdict(const std::vector<std::string>& violations) {
@@ -197,7 +197,8 @@ bench::JsonWriter scenario_json(const char* experiment,
   return j;
 }
 
-/// ...and those of every scenario that runs the workload.
+/// ...and those of every scenario that runs the workload, the ABD clients'
+/// counters among them.
 bench::JsonWriter workload_json(const char* experiment,
                                 const std::string& scenario, const Cli& cli,
                                 const chaos::WorkloadReport& r) {
@@ -215,6 +216,9 @@ bench::JsonWriter workload_json(const char* experiment,
       .field("update_p99_us", r.update_latency_ns.percentile(0.99) / 1e3)
       .field("scan_p50_us", r.scan_latency_ns.percentile(0.50) / 1e3)
       .field("scan_p99_us", r.scan_latency_ns.percentile(0.99) / 1e3);
+  abd::for_each_counter([&](const char* name, std::uint64_t value) {
+    j.field(name, value);
+  }, r.counters);
   return j;
 }
 
@@ -234,13 +238,7 @@ void print_report(const std::string& label, const chaos::RunReport& r) {
       (unsigned long long)r.recoveries,
       (unsigned long long)r.failed_recovery_attempts,
       mean_us(r.detection_latencies), mean_us(r.recovery_latencies));
-  std::printf(
-      "  degradation : %llu breaker skips, %llu fail-fasts, %llu stale-epoch "
-      "replies, %llu round timeouts, %llu retransmits\n",
-      (unsigned long long)r.breaker_skips, (unsigned long long)r.fail_fasts,
-      (unsigned long long)r.stale_epoch_replies,
-      (unsigned long long)r.round_timeouts, (unsigned long long)r.retransmits);
-  print_rounds(r.protocol_rounds, r.fast_reads, r.fast_fallbacks);
+  print_counters(r.counters);
   print_latency_and_verdict(r);
 }
 
@@ -261,13 +259,6 @@ void print_json(const Cli& cli, const std::string& label,
       .field("recoveries", r.recoveries)
       .field("detection_mean_us", mean_us(r.detection_latencies))
       .field("recovery_mean_us", mean_us(r.recovery_latencies))
-      .field("breaker_skips", r.breaker_skips)
-      .field("fail_fasts", r.fail_fasts)
-      .field("stale_epoch_replies", r.stale_epoch_replies)
-      .field("round_timeouts", r.round_timeouts)
-      .field("protocol_rounds", r.protocol_rounds)
-      .field("fast_reads", r.fast_reads)
-      .field("fast_fallbacks", r.fast_fallbacks)
       .print();
 }
 
@@ -402,7 +393,6 @@ int run_broken_fastread(const Cli& cli) {
 /// Outcome of one process-cluster run: the shared workload report plus
 /// what only real processes and the fault proxy produce.
 struct ProcessReport : chaos::WorkloadReport {
-  abd::RemoteRegisterClient::Stats client;
   std::uint64_t reconnects = 0;
   chaos::ProcessCluster::Report proc;
   // Net-scenario only: proxy-side injected-fault totals over all links,
@@ -451,21 +441,12 @@ void print_process_report(const std::string& label, const ProcessReport& r) {
         (unsigned long long)r.net.throttle_pauses,
         (unsigned long long)r.net.forwarded);
   }
-  std::printf("  supervisor  : %llu restarts, mean respawn %.1f ms\n",
-              (unsigned long long)r.proc.restarts, restart_mean_ms(r.proc));
   std::printf(
-      "  degradation : %llu retransmit waves, %llu dup replies, %llu "
-      "stale-epoch replies, %llu round timeouts, %llu reconnects\n",
-      (unsigned long long)r.client.retransmit_waves,
-      (unsigned long long)r.client.dup_replies,
-      (unsigned long long)r.client.stale_epoch_replies,
-      (unsigned long long)r.client.round_timeouts,
+      "  supervisor  : %llu restarts, mean respawn %.1f ms; %llu client "
+      "reconnects\n",
+      (unsigned long long)r.proc.restarts, restart_mean_ms(r.proc),
       (unsigned long long)r.reconnects);
-  std::printf("  requests    : %llu sent, %llu hedges\n",
-              (unsigned long long)r.client.requests,
-              (unsigned long long)r.client.hedges);
-  print_rounds(r.client.protocol_rounds, r.client.fast_reads,
-               r.client.fast_fallbacks);
+  print_counters(r.counters);
   print_latency_and_verdict(r);
 }
 
@@ -478,15 +459,7 @@ void print_process_json(const Cli& cli, const std::string& scenario,
       .field("stalls", r.proc.stalls)
       .field("restarts", r.proc.restarts)
       .field("restart_mean_ms", restart_mean_ms(r.proc))
-      .field("retransmit_waves", r.client.retransmit_waves)
-      .field("requests", r.client.requests)
-      .field("hedges", r.client.hedges)
-      .field("stale_epoch_replies", r.client.stale_epoch_replies)
-      .field("round_timeouts", r.client.round_timeouts)
-      .field("reconnects", r.reconnects)
-      .field("protocol_rounds", r.client.protocol_rounds)
-      .field("fast_reads", r.client.fast_reads)
-      .field("fast_fallbacks", r.client.fast_fallbacks);
+      .field("reconnects", r.reconnects);
   if (r.net_mode) {
     j.field("loss", cli.loss)
         .field("delay_ms", cli.delay_ms)
@@ -781,7 +754,7 @@ int run_real(const Cli& cli, NetMode mode) {
 
   chaos::finish(recorder, workers, report);
   for (const auto& snap : snaps) {
-    report.client += snap->client().stats();
+    report.counters += snap->client().stats();
     report.reconnects += snap->client().reconnects();
   }
   report.proc = cluster.report();
@@ -812,36 +785,34 @@ int run_real(const Cli& cli, NetMode mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kTool = "chaos_run";
+  constexpr bool kProbability = true;
   Cli cli;
   cli.scenario = consume_flag(argc, argv, "--scenario", cli.scenario);
-  cli.seconds = std::atof(consume_flag(argc, argv, "--seconds", "3").c_str());
-  cli.nodes = static_cast<std::size_t>(
-      std::atoi(consume_flag(argc, argv, "--nodes", "5").c_str()));
-  cli.seed = static_cast<std::uint64_t>(
-      std::atoll(consume_flag(argc, argv, "--seed", "1").c_str()));
+  cli.seconds = consume_number(argc, argv, "--seconds", cli.seconds, kTool);
+  cli.nodes = consume_number(argc, argv, "--nodes", cli.nodes, kTool);
+  cli.seed = consume_number(argc, argv, "--seed", cli.seed, kTool);
   cli.crash_rate =
-      std::atof(consume_flag(argc, argv, "--crash-rate", "2").c_str());
+      consume_number(argc, argv, "--crash-rate", cli.crash_rate, kTool);
   cli.partition_rate =
-      std::atof(consume_flag(argc, argv, "--partition-rate", "0.5").c_str());
-  cli.loss = std::atof(consume_flag(argc, argv, "--loss", "0.1").c_str());
+      consume_number(argc, argv, "--partition-rate", cli.partition_rate, kTool);
+  cli.loss =
+      consume_number(argc, argv, "--loss", cli.loss, kTool, kProbability);
   cli.breaker = consume_flag(argc, argv, "--breaker", "on") != "off";
   cli.fast = consume_flag(argc, argv, "--fast", "on") != "off";
   cli.trace_path = consume_flag(argc, argv, "--trace", "");
-  cli.writers = static_cast<std::size_t>(
-      std::atoi(consume_flag(argc, argv, "--writers", "3").c_str()));
-  cli.think_ms =
-      std::atof(consume_flag(argc, argv, "--think-ms", "2").c_str());
-  cli.stall_ms =
-      std::atof(consume_flag(argc, argv, "--stall-ms", "200").c_str());
+  cli.writers = consume_number(argc, argv, "--writers", cli.writers, kTool);
+  cli.think_ms = consume_number(argc, argv, "--think-ms", cli.think_ms, kTool);
+  cli.stall_ms = consume_number(argc, argv, "--stall-ms", cli.stall_ms, kTool);
   cli.replicad = consume_flag(argc, argv, "--replicad", cli.replicad);
-  cli.delay_ms =
-      std::atof(consume_flag(argc, argv, "--delay-ms", "0").c_str());
+  cli.delay_ms = consume_number(argc, argv, "--delay-ms", cli.delay_ms, kTool);
   cli.jitter_ms =
-      std::atof(consume_flag(argc, argv, "--jitter-ms", "0").c_str());
-  cli.reorder = std::atof(consume_flag(argc, argv, "--reorder", "0").c_str());
+      consume_number(argc, argv, "--jitter-ms", cli.jitter_ms, kTool);
+  cli.reorder =
+      consume_number(argc, argv, "--reorder", cli.reorder, kTool, kProbability);
   cli.partition = consume_flag(argc, argv, "--partition", "on") != "off";
   cli.keep_state = consume_switch(argc, argv, "--keep-state");
-  if (!no_unknown_args(argc, argv, "chaos_run")) return 2;
+  if (!no_unknown_args(argc, argv, kTool)) return 2;
   if (cli.seconds <= 0 || cli.nodes < 3) {
     std::fprintf(stderr, "chaos_run: need --seconds > 0 and --nodes >= 3\n");
     return 2;

@@ -411,6 +411,11 @@ RunOutput run_workload(Front& front, std::size_t total_words,
   return out;
 }
 
+/// The ABD counters of the in-process backend, summed over its nodes.
+abd::CounterValues abd_counters(const abd::MessagePassingSnapshot<Tag>& snap) {
+  return snap.cluster().counters();
+}
+
 template <typename Front>
 int report(Front& front, std::size_t total_words, const Options& opt) {
   const RunOutput out = run_workload(front, total_words, opt);
@@ -437,34 +442,18 @@ int report(Front& front, std::size_t total_words, const Options& opt) {
                 static_cast<double>(out.fabric.global_scans)
           : 0.0;
 
-  // ABD round accounting (backend=cluster / backend=abd only): fast-read
-  // hits vs slow-path fallbacks, and protocol rounds separate from the
-  // retransmit waves inside them. The socket client also counts the
-  // request frames its rounds sent and the majority-first reads that
-  // hedged (backend=cluster only).
-  bool have_rounds = false, have_requests = false;
-  std::uint64_t protocol_rounds = 0, fast_reads = 0, fast_fallbacks = 0;
-  std::uint64_t retransmit_waves = 0, requests = 0, hedges = 0;
-  if constexpr (requires { front.backend().abd_stats(); }) {
-    const auto s = front.backend().abd_stats();
-    protocol_rounds = s.protocol_rounds;
-    fast_reads = s.fast_reads;
-    fast_fallbacks = s.fast_fallbacks;
-    retransmit_waves = s.retransmit_waves;
-    requests = s.requests;
-    hedges = s.hedges;
-    have_rounds = have_requests = true;
-  } else if constexpr (requires { front.backend().fast_reads(); }) {
-    protocol_rounds = front.backend().protocol_rounds();
-    fast_reads = front.backend().fast_reads();
-    fast_fallbacks = front.backend().fast_fallbacks();
-    have_rounds = true;
-  }
+  // The ABD protocol counters (backend=abd / backend=cluster only; zero
+  // otherwise): fast-read hits vs fallbacks, protocol rounds apart from the
+  // retransmission waves inside them, the request frames the rounds sent.
+  abd::CounterValues counters;
+  constexpr bool kAbd = requires { abd_counters(front.backend()); };
+  if constexpr (kAbd) counters = abd_counters(front.backend());
   const double requests_per_op =
-      ops > 0 ? static_cast<double>(requests) / ops : 0.0;
-  const std::uint64_t fast_attempts = fast_reads + fast_fallbacks;
+      ops > 0 ? static_cast<double>(counters.requests) / ops : 0.0;
+  const std::uint64_t fast_attempts =
+      counters.fast_reads + counters.fast_fallbacks;
   const double fast_hit_ratio =
-      fast_attempts ? static_cast<double>(fast_reads) /
+      fast_attempts ? static_cast<double>(counters.fast_reads) /
                           static_cast<double>(fast_attempts)
                     : 0.0;
 
@@ -514,20 +503,13 @@ int report(Front& front, std::size_t total_words, const Options& opt) {
   std::printf("  shed        %llu (client-observed %llu)\n",
               static_cast<unsigned long long>(out.svc.sheds),
               static_cast<unsigned long long>(m.sheds));
-  if (have_rounds) {
-    std::printf("  abd rounds  %llu protocol rounds; fast reads %llu, "
-                "fallbacks %llu (hit %.1f%%)\n",
-                static_cast<unsigned long long>(protocol_rounds),
-                static_cast<unsigned long long>(fast_reads),
-                static_cast<unsigned long long>(fast_fallbacks),
-                100.0 * fast_hit_ratio);
-  }
-  if (have_requests) {
-    std::printf("  abd wire    %llu requests (%.2f per op), %llu hedges, "
-                "%llu retransmit waves\n",
-                static_cast<unsigned long long>(requests), requests_per_op,
-                static_cast<unsigned long long>(hedges),
-                static_cast<unsigned long long>(retransmit_waves));
+  if (kAbd) {
+    std::printf("  abd        ");
+    abd::for_each_counter([](const char* name, std::uint64_t value) {
+      std::printf(" %s %llu", name, static_cast<unsigned long long>(value));
+    }, counters);
+    std::printf("\n  abd wire    %.2f requests per op, fast hit %.1f%%\n",
+                requests_per_op, 100.0 * fast_hit_ratio);
   }
   if (opt.checking()) {
     std::printf("  check       %s%s\n",
@@ -572,15 +554,12 @@ int report(Front& front, std::size_t total_words, const Options& opt) {
       .field("lease_steals", out.lease.steals)
       .field("lease_timeouts", out.lease.timeouts)
       .field("sheds", out.svc.sheds)
-      .field("protocol_rounds", protocol_rounds)
-      .field("fast_reads", fast_reads)
-      .field("fast_fallbacks", fast_fallbacks)
       .field("fast_hit_ratio", fast_hit_ratio)
-      .field("retransmit_waves", retransmit_waves)
-      .field("requests", requests)
       .field("requests_per_op", requests_per_op)
-      .field("hedges", hedges)
       .field("violations", out.violations);
+  abd::for_each_counter([&](const char* name, std::uint64_t value) {
+    json.field(name, value);
+  }, counters);
   json.print();
   return out.violations == 0 ? 0 : 1;
 }
@@ -649,12 +628,11 @@ class ClusterSnapshot {
     return std::move(*view);
   }
 
-  /// Summed client-side round counters across all writer/scanner clients
-  /// (the E16 fast-hit accounting for --backend cluster).
-  abd::RemoteRegisterClient::Stats abd_stats() const {
-    abd::RemoteRegisterClient::Stats total;
-    for (const auto& s : writers_) total += s->client().stats();
-    for (const auto& s : scanners_) total += s->client().stats();
+  /// The ABD counters summed over every writer and scanner client.
+  friend abd::CounterValues abd_counters(const ClusterSnapshot& snap) {
+    abd::CounterValues total;
+    for (const auto& s : snap.writers_) total += s->client().stats();
+    for (const auto& s : snap.scanners_) total += s->client().stats();
     return total;
   }
 
@@ -701,40 +679,37 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace asnap;
 
+  constexpr const char* kTool = "loadgen";
+  constexpr bool kProbability = true;
   Options opt;
   opt.backend = consume_flag(argc, argv, "--backend", opt.backend);
   opt.mode = consume_flag(argc, argv, "--mode", opt.mode);
-  opt.slots = std::strtoull(
-      consume_flag(argc, argv, "--slots", "3").c_str(), nullptr, 10);
-  opt.shards = std::strtoull(
-      consume_flag(argc, argv, "--shards", "0").c_str(), nullptr, 10);
-  opt.clients = std::strtoull(
-      consume_flag(argc, argv, "--clients", "12").c_str(), nullptr, 10);
-  opt.seconds = std::atof(consume_flag(argc, argv, "--seconds", "1").c_str());
-  opt.rate = std::atof(consume_flag(argc, argv, "--rate", "2000").c_str());
-  opt.read_ratio =
-      std::atof(consume_flag(argc, argv, "--read-ratio", "0.9").c_str());
-  opt.global_ratio =
-      std::atof(consume_flag(argc, argv, "--global-ratio", "0.1").c_str());
-  opt.global_attempts = std::strtoull(
-      consume_flag(argc, argv, "--global-attempts", "8").c_str(), nullptr, 10);
-  opt.churn = std::atof(consume_flag(argc, argv, "--churn", "0.02").c_str());
-  opt.pipeline = std::strtoull(
-      consume_flag(argc, argv, "--pipeline", "4").c_str(), nullptr, 10);
-  opt.batch = std::strtoull(
-      consume_flag(argc, argv, "--batch", "8").c_str(), nullptr, 10);
+  opt.slots = consume_number(argc, argv, "--slots", opt.slots, kTool);
+  opt.shards = consume_number(argc, argv, "--shards", opt.shards, kTool);
+  opt.clients = consume_number(argc, argv, "--clients", opt.clients, kTool);
+  opt.seconds = consume_number(argc, argv, "--seconds", opt.seconds, kTool);
+  opt.rate = consume_number(argc, argv, "--rate", opt.rate, kTool);
+  opt.read_ratio = consume_number(argc, argv, "--read-ratio", opt.read_ratio,
+                                  kTool, kProbability);
+  opt.global_ratio = consume_number(argc, argv, "--global-ratio",
+                                    opt.global_ratio, kTool, kProbability);
+  opt.global_attempts = consume_number(argc, argv, "--global-attempts",
+                                       opt.global_attempts, kTool);
+  opt.churn =
+      consume_number(argc, argv, "--churn", opt.churn, kTool, kProbability);
+  opt.pipeline = consume_number(argc, argv, "--pipeline", opt.pipeline, kTool);
+  opt.batch = consume_number(argc, argv, "--batch", opt.batch, kTool);
   opt.cache = consume_flag(argc, argv, "--cache", "on") != "off";
-  opt.max_concurrent = std::strtoull(
-      consume_flag(argc, argv, "--max-concurrent", "0").c_str(), nullptr, 10);
-  opt.ttl_ms = std::atof(consume_flag(argc, argv, "--ttl-ms", "100").c_str());
-  opt.seed = std::strtoull(consume_flag(argc, argv, "--seed", "1").c_str(),
-                           nullptr, 10);
+  opt.max_concurrent = consume_number(argc, argv, "--max-concurrent",
+                                      opt.max_concurrent, kTool);
+  opt.ttl_ms = consume_number(argc, argv, "--ttl-ms", opt.ttl_ms, kTool);
+  opt.seed = consume_number(argc, argv, "--seed", opt.seed, kTool);
   opt.check_file = consume_flag(argc, argv, "--check-file", "");
   opt.trace_path = consume_flag(argc, argv, "--trace", "");
   opt.experiment = consume_flag(argc, argv, "--experiment", opt.experiment);
   opt.cluster = consume_flag(argc, argv, "--cluster", "");
   opt.check = consume_switch(argc, argv, "--check");
-  if (!no_unknown_args(argc, argv, "loadgen")) return usage();
+  if (!no_unknown_args(argc, argv, kTool)) return usage();
   if (opt.slots == 0 || opt.clients == 0 ||
       (opt.mode != "closed" && opt.mode != "open")) {
     return usage();
